@@ -262,6 +262,20 @@ func writeUsage(w io.Writer, unknown string) {
 	fmt.Fprintln(w)
 }
 
+// checkFlags rejects flag values no experiment can run with: an unknown
+// scale, and burst or replication counts below one.
+func checkFlags(scale string, bursts, reps int) error {
+	switch {
+	case scale != "small" && scale != "paper":
+		return fmt.Errorf("-scale %q: want small or paper", scale)
+	case bursts < 1:
+		return fmt.Errorf("-bursts %d: want at least 1", bursts)
+	case reps < 1:
+		return fmt.Errorf("-replications %d: want at least 1", reps)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		experiment = flag.String("experiment", "all", "experiment id or 'all'")
@@ -276,6 +290,10 @@ func main() {
 		sampleUs   = flag.Int64("sample-interval-us", 500, "telemetry sampling interval in virtual microseconds")
 	)
 	flag.Parse()
+	if err := checkFlags(*scale, *bursts, *reps); err != nil {
+		fmt.Fprintf(os.Stderr, "tradenet: %v\n", err)
+		os.Exit(2)
+	}
 
 	sc := core.SmallScenario()
 	if *scale == "paper" {

@@ -43,3 +43,32 @@ func TestExperimentIDsUniqueAndRunnable(t *testing.T) {
 		t.Error("lookupExperiment matched an unregistered id")
 	}
 }
+
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		scale         string
+		bursts, reps  int
+		wantErr, flag string
+	}{
+		{"small", 4, 1, "", ""},
+		{"paper", 1, 8, "", ""},
+		{"huge", 4, 1, "want small or paper", "-scale"},
+		{"", 4, 1, "want small or paper", "-scale"},
+		{"small", 0, 1, "want at least 1", "-bursts"},
+		{"small", -3, 1, "want at least 1", "-bursts"},
+		{"small", 4, 0, "want at least 1", "-replications"},
+		{"small", 4, -1, "want at least 1", "-replications"},
+	}
+	for _, c := range cases {
+		err := checkFlags(c.scale, c.bursts, c.reps)
+		if c.wantErr == "" {
+			if err != nil {
+				t.Errorf("checkFlags(%q, %d, %d) = %v, want nil", c.scale, c.bursts, c.reps, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) || !strings.HasPrefix(err.Error(), c.flag) {
+			t.Errorf("checkFlags(%q, %d, %d) = %v, want %s error %q", c.scale, c.bursts, c.reps, err, c.flag, c.wantErr)
+		}
+	}
+}

@@ -4,14 +4,10 @@ import (
 	"fmt"
 
 	"tradenet/internal/device"
-	"tradenet/internal/exchange"
 	"tradenet/internal/feed"
 	"tradenet/internal/firm"
-	"tradenet/internal/market"
 	"tradenet/internal/mcast"
 	"tradenet/internal/netsim"
-	"tradenet/internal/orderentry"
-	"tradenet/internal/sim"
 	"tradenet/internal/topo"
 )
 
@@ -19,19 +15,8 @@ import (
 // grouped by function per rack and a dedicated exchange leaf. The loop
 // exchange→normalizer→strategy→gateway→exchange crosses 12 switch hops.
 type Design1 struct {
-	Scenario Scenario
-	Sched    *sim.Scheduler
-	U        *market.Universe
-	LS       *topo.LeafSpine
-	Ex       *exchange.Exchange
-	Norms    []*firm.Normalizer
-	Strats   []*firm.Strategy
-	Gws      []*firm.Gateway
-
-	// ExSessions[i] is the exchange's side of gateway i's order-entry
-	// session — the handle failover experiments use to inspect ownership
-	// and working-order state.
-	ExSessions []*orderentry.ExchangeSession
+	Plant
+	LS *topo.LeafSpine
 
 	RawMap *mcast.Map
 	OutMap *mcast.Map
@@ -41,34 +26,12 @@ type Design1 struct {
 	RecReaders []*feed.ResponseReader
 	// GapRequests counts replay requests normalizers sent to the exchange.
 	GapRequests uint64
-
-	// WANFeed is the adaptive WAN redundancy mirror (nil unless
-	// Scenario.WANRedundancy).
-	WANFeed *WANFeed
-
-	// HA is the exchange high-availability pair (nil unless
-	// Scenario.ExchangeHA); HA.Backup is the dark standby on the exchange
-	// leaf.
-	HA *HACluster
-
-	// Tel is the telemetry plane (nil unless Scenario.Telemetry).
-	Tel *Telemetry
 }
-
-// hostIDs: the exchange uses 100+, normalizers 1000+, strategies 10000+,
-// gateways 50000+ — disjoint so derived MACs/IPs never collide.
-const (
-	idExchange   = 100
-	idNormalizer = 1000
-	idStrategy   = 10000
-	idGateway    = 50000
-)
 
 // NewDesign1 builds the full plant. switchCfg overrides the generation
 // (pass device.DefaultCommodityConfig() for current hardware).
 func NewDesign1(sc Scenario, switchCfg device.CommoditySwitchConfig) *Design1 {
-	d := &Design1{Scenario: sc, Sched: sim.NewScheduler(sc.Seed)}
-	d.U = buildUniverse(sc.Symbols)
+	d := &Design1{Plant: newPlant("Design 1 (leaf-spine)", sc)}
 
 	// Rack plan: rack 1 normalizers, racks 2..k strategies, rack k+1
 	// gateways ("group servers with common functions by rack", §4.1).
@@ -83,9 +46,7 @@ func NewDesign1(sc Scenario, switchCfg device.CommoditySwitchConfig) *Design1 {
 	d.RawMap = mcast.NewMap(mcast.NewPartitioner(d.U, mcast.ByAlpha, 0), mcast.NewAllocator(1))
 	d.OutMap = mcast.NewMap(mcast.NewPartitioner(d.U, mcast.ByHash, sc.InternalPartitions), mcast.NewAllocator(2))
 
-	d.Ex = exchange.New(d.Sched, d.U, d.RawMap, exchange.Config{
-		ID: 1, Name: "EXCH", Variant: feed.ExchangeB, MatchLatency: 0, HostID: idExchange,
-	})
+	d.Ex = d.newExchange("EXCH", feed.ExchangeB, d.RawMap, idExchange)
 	d.LS.Attach(0, d.Ex.MDNIC())
 	d.LS.Attach(0, d.Ex.OENIC())
 
@@ -93,15 +54,10 @@ func NewDesign1(sc Scenario, switchCfg device.CommoditySwitchConfig) *Design1 {
 		// The standby lives on the same exchange leaf (an HA pair shares the
 		// facility; the journal rides a dedicated cross-connect, not the
 		// fabric). Its NICs idle until promotion.
-		bak := exchange.New(d.Sched, d.U, d.RawMap, exchange.Config{
-			ID: 1, Name: "EXCH-B", Variant: feed.ExchangeB, MatchLatency: 0, HostID: idExchangeBak,
-		})
+		bak := d.newExchange("EXCH-B", feed.ExchangeB, d.RawMap, idExchangeBak)
 		d.LS.Attach(0, bak.MDNIC())
 		d.LS.Attach(0, bak.OENIC())
-		if sc.OEResilience {
-			bak.EnableResilience(oeExchangeResilience())
-		}
-		d.HA = NewHACluster(d.Sched, d.Ex, bak)
+		d.pair(bak)
 	}
 
 	// Normalizers on rack 1 (leaf index 1).
@@ -141,13 +97,8 @@ func NewDesign1(sc Scenario, switchCfg device.CommoditySwitchConfig) *Design1 {
 		d.Strats = append(d.Strats, s)
 	}
 
-	d.wireSessions()
-	if sc.WANRedundancy {
-		d.WANFeed = NewWANFeed(d.Sched, d.Ex, DefaultWANFeedConfig())
-	}
-	d.Tel = newTelemetry(d.Sched, sc.Telemetry)
-	d.Tel.RegisterExchange(d.Ex)
-	d.Tel.RegisterHA(d.HA)
+	d.wireGateways()
+	d.finish()
 	return d
 }
 
@@ -163,35 +114,6 @@ func subscriptionSlice(i, parts int) []int {
 		subs = append(subs, (i*w+j)%parts)
 	}
 	return subs
-}
-
-// wireSessions dials every order-entry session: gateways to the exchange,
-// strategies to gateways.
-func (d *Design1) wireSessions() {
-	if d.Scenario.OEResilience {
-		d.Ex.EnableResilience(oeExchangeResilience())
-	}
-	for i, g := range d.Gws {
-		addr := g.ExNIC().Addr(uint16(41000 + i))
-		sess, exPort := d.Ex.AcceptSession(addr)
-		d.ExSessions = append(d.ExSessions, sess)
-		g.ConnectExchange(uint16(41000+i), d.Ex.OENIC().Addr(exPort))
-		if d.Scenario.OEResilience {
-			if d.HA != nil {
-				hardenGatewayHA(g, d.HA, i, addr)
-			} else {
-				hardenGateway(g, d.Ex, sess, addr)
-			}
-		}
-	}
-	for i, s := range d.Strats {
-		g := d.Gws[i%len(d.Gws)]
-		gwPort := g.AcceptStrategy(s.OENIC().Addr(uint16(42000 + i)))
-		s.ConnectGateway(uint16(42000+i), g.InNIC().Addr(gwPort))
-		if d.Scenario.OEResilience {
-			hardenStrategyBehindGateway(s)
-		}
-	}
 }
 
 // WireGapRecovery dials a gap-recovery stream from every normalizer to the
@@ -222,37 +144,10 @@ func (d *Design1) WireGapRecovery() {
 // tick-to-trade at the exchange: order-accepted time minus burst publish
 // time. Bursts are spaced far enough apart that attribution is exact.
 func (d *Design1) MeasureRoundTrip(bursts int) RoundTrip {
-	rt := RoundTrip{
-		Design:        "Design 1 (leaf-spine)",
+	return d.measure(bursts, RoundTrip{
 		SwitchHops:    12,
 		SoftwareHops:  3,
 		SoftwareTime:  3 * d.Scenario.FnLatency,
 		SwitchLatency: 12 * d.LS.Config().Switch.Latency,
-	}
-	measure(d.Sched, d.Ex, d.Scenario, bursts, &rt, d.Tel)
-	return rt
-}
-
-// measure runs the shared burst-publish / order-capture loop: after a
-// settle-in period (logons), it publishes `bursts` isolated message bursts
-// 2 ms apart and attributes each accepted order to the most recent burst.
-// A non-nil telemetry plane is armed over the whole measurement span; nil
-// costs one compare inside Arm and the schedule is untouched.
-func measure(sched *sim.Scheduler, ex *exchange.Exchange, sc Scenario, bursts int, rt *RoundTrip, tel *Telemetry) {
-	var burstAt sim.Time
-	ex.OnOrderAccepted = func(_ *orderentry.Msg, at sim.Time) {
-		rt.Orders++
-		rt.Samples = append(rt.Samples, at.Sub(burstAt))
-	}
-	start := sim.Time(5 * sim.Millisecond) // let logons drain
-	tel.Arm(0, start.Add(sim.Duration(bursts)*2*sim.Millisecond))
-	for b := 0; b < bursts; b++ {
-		at := start.Add(sim.Duration(b) * 2 * sim.Millisecond)
-		sched.At(at, func() {
-			burstAt = sched.Now()
-			rt.Bursts = append(rt.Bursts, burstAt)
-			ex.PublishBurst(sched.Rand(), sc.BurstMessages/bursts)
-		})
-	}
-	sched.Run()
+	})
 }

@@ -4,13 +4,10 @@ import (
 	"fmt"
 
 	"tradenet/internal/device"
-	"tradenet/internal/exchange"
 	"tradenet/internal/feed"
 	"tradenet/internal/firm"
-	"tradenet/internal/market"
 	"tradenet/internal/mcast"
 	"tradenet/internal/netsim"
-	"tradenet/internal/orderentry"
 	"tradenet/internal/pkt"
 	"tradenet/internal/sim"
 	"tradenet/internal/units"
@@ -21,47 +18,25 @@ import (
 // cloud-hosted exchange (it publishes the internal format directly), per
 // the cloud-exchange proposals the paper cites; each tenant runs a strategy
 // directly against that feed.
+//
+// HA.OnPromote swaps both equalizers' standby ports so tenant traffic
+// re-steers to the promoted venue.
 type Design2 struct {
-	Scenario Scenario
-	Sched    *sim.Scheduler
-	U        *market.Universe
-	EqMD     *device.CloudEqualizer
-	EqOE     *device.CloudEqualizer
-	Ex       *exchange.Exchange
-	Strats   []*firm.Strategy
-	OutMap   *mcast.Map
-
-	// ExSessions[i] is the exchange's side of tenant i's order-entry
-	// session (see Design1.ExSessions).
-	ExSessions []*orderentry.ExchangeSession
+	Plant
+	EqMD   *device.CloudEqualizer
+	EqOE   *device.CloudEqualizer
+	OutMap *mcast.Map
 
 	// arrivals[ipID][tenant] records market-data delivery times for skew
 	// analysis; the zero Time means "not delivered to this tenant" (nothing
 	// arrives at t=0 — every path charges positive latency).
 	arrivals map[uint16][]sim.Time
-
-	// WANFeed is the adaptive WAN redundancy mirror (nil unless
-	// Scenario.WANRedundancy).
-	WANFeed *WANFeed
-
-	// HA is the exchange high-availability pair (nil unless
-	// Scenario.ExchangeHA). Its OnPromote hook swaps both equalizers'
-	// standby ports so tenant traffic re-steers to the promoted venue.
-	HA *HACluster
-
-	// Tel is the telemetry plane (nil unless Scenario.Telemetry).
-	Tel *Telemetry
 }
 
 // NewDesign2 builds the cloud plant with the given per-tenant path
 // latencies (zone placement). equalize toggles the fairness fabric.
 func NewDesign2(sc Scenario, tenantLat []sim.Duration, equalize bool) *Design2 {
-	d := &Design2{
-		Scenario: sc,
-		Sched:    sim.NewScheduler(sc.Seed),
-		arrivals: make(map[uint16][]sim.Time),
-	}
-	d.U = buildUniverse(sc.Symbols)
+	d := &Design2{Plant: newPlant("Design 2 (cloud)", sc), arrivals: make(map[uint16][]sim.Time)}
 	d.OutMap = mcast.NewMap(mcast.NewPartitioner(d.U, mcast.ByHash, sc.InternalPartitions), mcast.NewAllocator(2))
 
 	cfg := device.DefaultCloudConfig()
@@ -69,9 +44,7 @@ func NewDesign2(sc Scenario, tenantLat []sim.Duration, equalize bool) *Design2 {
 	d.EqMD = device.NewCloudEqualizer(d.Sched, "cloud-md", tenantLat, cfg)
 	d.EqOE = device.NewCloudEqualizer(d.Sched, "cloud-oe", tenantLat, cfg)
 
-	d.Ex = exchange.New(d.Sched, d.U, d.OutMap, exchange.Config{
-		ID: 1, Name: "CLOUD-EXCH", Variant: feed.Internal, MatchLatency: 0, HostID: idExchange,
-	})
+	d.Ex = d.newExchange("CLOUD-EXCH", feed.Internal, d.OutMap, idExchange)
 	netsim.Connect(d.Ex.MDNIC().Port, d.EqMD.ExchangePort(), units.Rate10G, 0)
 	netsim.Connect(d.Ex.OENIC().Port, d.EqOE.ExchangePort(), units.Rate10G, 0)
 
@@ -82,15 +55,10 @@ func NewDesign2(sc Scenario, tenantLat []sim.Duration, equalize bool) *Design2 {
 		// The standby hangs off provisioned-but-inactive equalizer ports;
 		// promotion swaps them into the exchange slot so tenant unicasts and
 		// feed multicasts re-steer without the tenants re-addressing.
-		bak := exchange.New(d.Sched, d.U, d.OutMap, exchange.Config{
-			ID: 1, Name: "CLOUD-EXCH-B", Variant: feed.Internal, MatchLatency: 0, HostID: idExchangeBak,
-		})
+		bak := d.newExchange("CLOUD-EXCH-B", feed.Internal, d.OutMap, idExchangeBak)
 		netsim.Connect(bak.MDNIC().Port, d.EqMD.AddStandbyPort(), units.Rate10G, 0)
 		netsim.Connect(bak.OENIC().Port, d.EqOE.AddStandbyPort(), units.Rate10G, 0)
-		if sc.OEResilience {
-			bak.EnableResilience(oeExchangeResilience())
-		}
-		d.HA = NewHACluster(d.Sched, d.Ex, bak)
+		d.pair(bak)
 		d.HA.OnPromote = func() {
 			d.EqMD.PromoteStandby()
 			d.EqOE.PromoteStandby()
@@ -121,25 +89,15 @@ func NewDesign2(sc Scenario, tenantLat []sim.Duration, equalize bool) *Design2 {
 		}
 
 		// Cloud tenants talk straight to the exchange: no gateway tier.
-		addr := s.OENIC().Addr(uint16(42000 + i))
-		sess, exPort := d.Ex.AcceptSession(addr)
-		d.ExSessions = append(d.ExSessions, sess)
-		s.ConnectGateway(uint16(42000+i), d.Ex.OENIC().Addr(exPort))
+		port := uint16(42000 + i)
+		addr := s.OENIC().Addr(port)
+		s.ConnectGateway(port, d.accept(addr))
 		if sc.OEResilience {
-			if d.HA != nil {
-				hardenTenantHA(s, d.HA, i, addr)
-			} else {
-				hardenTenant(s, d.Ex, sess, addr)
-			}
+			hardenTenant(s, d.redial(i, addr))
 		}
 		d.Strats = append(d.Strats, s)
 	}
-	if sc.WANRedundancy {
-		d.WANFeed = NewWANFeed(d.Sched, d.Ex, DefaultWANFeedConfig())
-	}
-	d.Tel = newTelemetry(d.Sched, sc.Telemetry)
-	d.Tel.RegisterExchange(d.Ex)
-	d.Tel.RegisterHA(d.HA)
+	d.finish()
 	return d
 }
 
@@ -147,14 +105,11 @@ func NewDesign2(sc Scenario, tenantLat []sim.Duration, equalize bool) *Design2 {
 // exchange → cloud fabric → strategy → cloud fabric → exchange, one
 // software hop.
 func (d *Design2) MeasureRoundTrip(bursts int) RoundTrip {
-	rt := RoundTrip{
-		Design:       "Design 2 (cloud)",
+	return d.measure(bursts, RoundTrip{
 		SwitchHops:   0,
 		SoftwareHops: 1,
 		SoftwareTime: d.Scenario.FnLatency,
-	}
-	measure(d.Sched, d.Ex, d.Scenario, bursts, &rt, d.Tel)
-	return rt
+	})
 }
 
 // SkewStats summarizes cross-tenant delivery skew: for every datagram seen

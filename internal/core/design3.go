@@ -3,12 +3,9 @@ package core
 import (
 	"fmt"
 
-	"tradenet/internal/exchange"
 	"tradenet/internal/feed"
 	"tradenet/internal/firm"
-	"tradenet/internal/market"
 	"tradenet/internal/mcast"
-	"tradenet/internal/orderentry"
 	"tradenet/internal/sim"
 	"tradenet/internal/topo"
 )
@@ -17,19 +14,12 @@ import (
 // loop. Fan-out happens at wire speed (~5 ns); anywhere multiple sources
 // share a consumer NIC, the merge unit adds 50 ns and introduces the
 // contention the paper warns about.
+//
+// With Scenario.ExchangeHA the standby's NICs join networks 1 and 4 as
+// extra circuit endpoints; until promotion they transmit nothing.
 type Design3 struct {
-	Scenario Scenario
-	Sched    *sim.Scheduler
-	U        *market.Universe
-	Fabric   *topo.L1Fabric
-	Ex       *exchange.Exchange
-	Norms    []*firm.Normalizer
-	Strats   []*firm.Strategy
-	Gws      []*firm.Gateway
-
-	// ExSessions[i] is the exchange's side of gateway i's order-entry
-	// session (see Design1.ExSessions).
-	ExSessions []*orderentry.ExchangeSession
+	Plant
+	Fabric *topo.L1Fabric
 
 	RawMap *mcast.Map
 	OutMap *mcast.Map
@@ -37,18 +27,6 @@ type Design3 struct {
 	// NormSubs[i] is the set of normalizer indices strategy i subscribes
 	// to; with one L1S NIC per strategy, |NormSubs[i]| > 1 implies merging.
 	NormSubs [][]int
-
-	// WANFeed is the adaptive WAN redundancy mirror (nil unless
-	// Scenario.WANRedundancy).
-	WANFeed *WANFeed
-
-	// HA is the exchange high-availability pair (nil unless
-	// Scenario.ExchangeHA). The standby's NICs join networks 1 and 4 as
-	// extra circuit endpoints; until promotion they transmit nothing.
-	HA *HACluster
-
-	// Tel is the telemetry plane (nil unless Scenario.Telemetry).
-	Tel *Telemetry
 }
 
 // NewDesign3 builds the four-network L1S plant. maxSubs caps the number of
@@ -56,8 +34,7 @@ type Design3 struct {
 // proliferation is to restrict the total number of normalizers each trading
 // strategy can subscribe to"); 0 means all.
 func NewDesign3(sc Scenario, maxSubs int) *Design3 {
-	d := &Design3{Scenario: sc, Sched: sim.NewScheduler(sc.Seed)}
-	d.U = buildUniverse(sc.Symbols)
+	d := &Design3{Plant: newPlant("Design 3 (L1S)", sc)}
 	cfg := topo.DefaultL1FabricConfig()
 	cfg.Ports = 2*sc.Servers() + 16
 	d.Fabric = topo.NewL1Fabric(d.Sched, cfg)
@@ -65,9 +42,7 @@ func NewDesign3(sc Scenario, maxSubs int) *Design3 {
 	d.RawMap = mcast.NewMap(mcast.NewPartitioner(d.U, mcast.ByAlpha, 0), mcast.NewAllocator(1))
 	d.OutMap = mcast.NewMap(mcast.NewPartitioner(d.U, mcast.ByHash, sc.InternalPartitions), mcast.NewAllocator(2))
 
-	d.Ex = exchange.New(d.Sched, d.U, d.RawMap, exchange.Config{
-		ID: 1, Name: "EXCH", Variant: feed.ExchangeB, MatchLatency: 0, HostID: idExchange,
-	})
+	d.Ex = d.newExchange("EXCH", feed.ExchangeB, d.RawMap, idExchange)
 
 	// Network 1: exchange → normalizers. Pure fan-out; the L1S replicates
 	// the raw feed to every normalizer's NIC, which filters by group. Each
@@ -128,14 +103,12 @@ func NewDesign3(sc Scenario, maxSubs int) *Design3 {
 
 	// Network 3: strategies → gateways (merge many strategies onto each
 	// gateway NIC) and the reverse circuits for responses.
-	gwIns := make([]int, sc.Gateways)
 	gwInPorts := make([]int, sc.Gateways)
 	for i := 0; i < sc.Gateways; i++ {
 		g := firm.NewGateway(d.Sched, fmt.Sprintf("gw%d", i), uint32(idGateway+2*i),
 			firm.GatewayConfig{TranslateLatency: sc.FnLatency})
 		d.Gws = append(d.Gws, g)
 		gwInPorts[i] = d.Fabric.AttachSink(d.Fabric.StratToGw, g.InNIC())
-		gwIns[i] = gwInPorts[i]
 	}
 	for i, s := range d.Strats {
 		in := d.Fabric.AttachSource(d.Fabric.StratToGw, s.OENIC())
@@ -163,9 +136,7 @@ func NewDesign3(sc Scenario, maxSubs int) *Design3 {
 		// (which therefore become merge outputs — the §4.3 contention cost of
 		// a second source), and each gateway's order circuit also reaches the
 		// standby's OE NIC, which filters by MAC until clients re-home to it.
-		bak := exchange.New(d.Sched, d.U, d.RawMap, exchange.Config{
-			ID: 1, Name: "EXCH-B", Variant: feed.ExchangeB, MatchLatency: 0, HostID: idExchangeBak,
-		})
+		bak := d.newExchange("EXCH-B", feed.ExchangeB, d.RawMap, idExchangeBak)
 		bakIn := d.Fabric.AttachSource(d.Fabric.ExToNorm, bak.MDNIC())
 		d.Fabric.Deliver(d.Fabric.ExToNorm, bakIn, normOuts...)
 		bakOE := d.Fabric.AttachSink(d.Fabric.GwToEx, bak.OENIC())
@@ -174,47 +145,12 @@ func NewDesign3(sc Scenario, maxSubs int) *Design3 {
 			d.Fabric.Deliver(d.Fabric.GwToEx, in, append(prev, bakOE)...)
 		}
 		d.Fabric.Deliver(d.Fabric.GwToEx, bakOE, gwExPorts...)
-		if sc.OEResilience {
-			bak.EnableResilience(oeExchangeResilience())
-		}
-		d.HA = NewHACluster(d.Sched, d.Ex, bak)
+		d.pair(bak)
 	}
 
-	d.wireSessions()
-	if sc.WANRedundancy {
-		d.WANFeed = NewWANFeed(d.Sched, d.Ex, DefaultWANFeedConfig())
-	}
-	d.Tel = newTelemetry(d.Sched, sc.Telemetry)
-	d.Tel.RegisterExchange(d.Ex)
-	d.Tel.RegisterHA(d.HA)
+	d.wireGateways()
+	d.finish()
 	return d
-}
-
-func (d *Design3) wireSessions() {
-	if d.Scenario.OEResilience {
-		d.Ex.EnableResilience(oeExchangeResilience())
-	}
-	for i, g := range d.Gws {
-		addr := g.ExNIC().Addr(uint16(41000 + i))
-		sess, exPort := d.Ex.AcceptSession(addr)
-		d.ExSessions = append(d.ExSessions, sess)
-		g.ConnectExchange(uint16(41000+i), d.Ex.OENIC().Addr(exPort))
-		if d.Scenario.OEResilience {
-			if d.HA != nil {
-				hardenGatewayHA(g, d.HA, i, addr)
-			} else {
-				hardenGateway(g, d.Ex, sess, addr)
-			}
-		}
-	}
-	for i, s := range d.Strats {
-		g := d.Gws[i%len(d.Gws)]
-		gwPort := g.AcceptStrategy(s.OENIC().Addr(uint16(42000 + i)))
-		s.ConnectGateway(uint16(42000+i), g.InNIC().Addr(gwPort))
-		if d.Scenario.OEResilience {
-			hardenStrategyBehindGateway(s)
-		}
-	}
 }
 
 // MeasureRoundTrip mirrors Design1's measurement over the L1S fabric. The
@@ -228,15 +164,12 @@ func (d *Design3) MeasureRoundTrip(bursts int) RoundTrip {
 	if len(d.NormSubs) > 0 && len(d.NormSubs[0]) > 1 {
 		merges++
 	}
-	rt := RoundTrip{
-		Design:        "Design 3 (L1S)",
+	return d.measure(bursts, RoundTrip{
 		SwitchHops:    4,
 		SoftwareHops:  3,
 		SoftwareTime:  3 * d.Scenario.FnLatency,
 		SwitchLatency: 4*cfg.FanoutLatency + sim.Duration(merges)*cfg.MergeLatency,
-	}
-	measure(d.Sched, d.Ex, d.Scenario, bursts, &rt, d.Tel)
-	return rt
+	})
 }
 
 // MergePorts reports how many merge outputs each of the four networks has.

@@ -126,7 +126,7 @@ func TestDesign3MergeAccounting(t *testing.T) {
 
 func TestDesign2EqualizationFairness(t *testing.T) {
 	sc := SmallScenario()
-	lats := []sim.Duration{5 * sim.Microsecond, 20 * sim.Microsecond, 12 * sim.Microsecond}
+	lats := cloudTenantLats()
 
 	dEq := NewDesign2(sc, lats, true)
 	rtEq := dEq.MeasureRoundTrip(4)

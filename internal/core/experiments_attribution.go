@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"tradenet/internal/device"
-	"tradenet/internal/exchange"
 	"tradenet/internal/metrics"
 	"tradenet/internal/sim"
 	"tradenet/internal/trace"
@@ -71,9 +70,7 @@ func RunAttribution(sc Scenario, bursts int) AttributionResult {
 	var out AttributionResult
 
 	d1 := NewDesign1(sc, device.DefaultCommodityConfig())
-	out.Designs = append(out.Designs, measureAttribution(
-		d1.Sched, d1.Ex, sc, bursts,
-		func(rt *RoundTrip) { *rt = d1.MeasureRoundTrip(bursts) },
+	out.Designs = append(out.Designs, measureAttribution(&d1.Plant, bursts, d1.MeasureRoundTrip,
 		func(reg *metrics.Registry) {
 			reg.RegisterInt("fabric.blackholed", func() int64 { return int64(d1.LS.FabricStats().Blackholed) })
 			reg.RegisterInt("fabric.lost", func() int64 { return int64(d1.LS.FabricStats().Lost) })
@@ -82,17 +79,10 @@ func RunAttribution(sc Scenario, bursts int) AttributionResult {
 		}))
 
 	d3 := NewDesign3(sc, 0)
-	out.Designs = append(out.Designs, measureAttribution(
-		d3.Sched, d3.Ex, sc, bursts,
-		func(rt *RoundTrip) { *rt = d3.MeasureRoundTrip(bursts) },
-		nil))
+	out.Designs = append(out.Designs, measureAttribution(&d3.Plant, bursts, d3.MeasureRoundTrip, nil))
 
-	lats := []sim.Duration{5 * sim.Microsecond, 20 * sim.Microsecond, 12 * sim.Microsecond}
-	d2 := NewDesign2(sc, lats, true)
-	out.Designs = append(out.Designs, measureAttribution(
-		d2.Sched, d2.Ex, sc, bursts,
-		func(rt *RoundTrip) { *rt = d2.MeasureRoundTrip(bursts) },
-		nil))
+	d2 := NewDesign2(sc, cloudTenantLats(), true)
+	out.Designs = append(out.Designs, measureAttribution(&d2.Plant, bursts, d2.MeasureRoundTrip, nil))
 
 	return out
 }
@@ -100,14 +90,14 @@ func RunAttribution(sc Scenario, bursts int) AttributionResult {
 // measureAttribution arms one design's exchange with a recorder, runs its
 // round-trip measurement, and folds the finished traces into an attribution
 // row plus a registry dump.
-func measureAttribution(sched *sim.Scheduler, ex *exchange.Exchange, sc Scenario, bursts int,
-	run func(*RoundTrip), extraMetrics func(*metrics.Registry)) DesignAttribution {
+func measureAttribution(p *Plant, bursts int, run func(int) RoundTrip,
+	extraMetrics func(*metrics.Registry)) DesignAttribution {
 
+	ex := p.Ex
 	rec := trace.NewRecorder(attributionEvery, attributionCap)
 	ex.EnableTracing(rec)
 
-	var rt RoundTrip
-	run(&rt)
+	rt := run(bursts)
 
 	var a DesignAttribution
 	a.Design = rt.Design
@@ -116,7 +106,7 @@ func measureAttribution(sched *sim.Scheduler, ex *exchange.Exchange, sc Scenario
 	a.Finished = len(a.Traces)
 
 	reg := metrics.NewRegistry()
-	registerScheduler(reg, sched)
+	registerScheduler(reg, p.Sched)
 	reg.RegisterUint("exch.published.datagrams", &ex.Published)
 	reg.RegisterUint("exch.published.msgs", &ex.PublishedMsgs)
 	if extraMetrics != nil {

@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 
-	"tradenet/internal/device"
-	"tradenet/internal/exchange"
 	"tradenet/internal/fault"
-	"tradenet/internal/firm"
 	"tradenet/internal/metrics"
 	"tradenet/internal/orderentry"
 	"tradenet/internal/sim"
@@ -48,57 +45,6 @@ const (
 	oefDrain         = 11 * sim.Millisecond
 )
 
-// oePlant is one design reduced to what the session-kill run needs: the
-// scheduler, the exchange, the session pairs (exchange side index-aligned
-// with client side), and the victim endpoint (always index 0).
-type oePlant struct {
-	name    string
-	sched   *sim.Scheduler
-	ex      *exchange.Exchange
-	exSess  []*orderentry.ExchangeSession
-	clients []*orderentry.ClientSession
-	victim  fault.SessionDropper
-	gws     []*firm.Gateway // nil in the cloud design
-	strats  []*firm.Strategy
-}
-
-func oePlantDesign1(sc Scenario) oePlant {
-	d := NewDesign1(sc, device.DefaultCommodityConfig())
-	p := oePlant{
-		name: "Design 1 (leaf-spine)", sched: d.Sched, ex: d.Ex,
-		exSess: d.ExSessions, victim: d.Gws[0], gws: d.Gws, strats: d.Strats,
-	}
-	for _, g := range d.Gws {
-		p.clients = append(p.clients, g.ExchangeSession())
-	}
-	return p
-}
-
-func oePlantDesign2(sc Scenario) oePlant {
-	lats := []sim.Duration{5 * sim.Microsecond, 20 * sim.Microsecond, 12 * sim.Microsecond}
-	d := NewDesign2(sc, lats, true)
-	p := oePlant{
-		name: "Design 2 (cloud)", sched: d.Sched, ex: d.Ex,
-		exSess: d.ExSessions, victim: d.Strats[0], strats: d.Strats,
-	}
-	for _, s := range d.Strats {
-		p.clients = append(p.clients, s.Session())
-	}
-	return p
-}
-
-func oePlantDesign3(sc Scenario) oePlant {
-	d := NewDesign3(sc, 0)
-	p := oePlant{
-		name: "Design 3 (L1S)", sched: d.Sched, ex: d.Ex,
-		exSess: d.ExSessions, victim: d.Gws[0], gws: d.Gws, strats: d.Strats,
-	}
-	for _, g := range d.Gws {
-		p.clients = append(p.clients, g.ExchangeSession())
-	}
-	return p
-}
-
 // OEDesignRun is one design's session-kill run.
 type OEDesignRun struct {
 	Design string
@@ -134,12 +80,14 @@ type OEDesignRun struct {
 	FaultLog string
 }
 
-// runOEDesign runs the session-kill schedule against one plant.
-func runOEDesign(p oePlant, sc Scenario) OEDesignRun {
-	res := OEDesignRun{Design: p.name, Victim: p.victim.FaultName()}
-	sched := p.sched
+// runOEDesign runs the session-kill schedule against one plant. The victim
+// is the holder of session 0.
+func runOEDesign(p *Plant) OEDesignRun {
+	victim := p.firstClient()
+	res := OEDesignRun{Design: p.Name, Victim: victim.FaultName()}
+	sched := p.Sched
 
-	perBurst := sc.BurstMessages / oefBursts
+	perBurst := p.Scenario.BurstMessages / oefBursts
 	if perBurst < 1 {
 		perBurst = 1
 	}
@@ -151,18 +99,18 @@ func runOEDesign(p oePlant, sc Scenario) OEDesignRun {
 	dropAt := burstStart.Add(sim.Duration(oefDropBurst)*oefBurstInterval + 12*sim.Microsecond)
 
 	plan := fault.NewPlan(sched)
-	plan.SessionDrop(p.victim, dropAt)
+	plan.SessionDrop(victim, dropAt)
 
 	for b := 0; b < oefBursts; b++ {
 		sched.At(burstStart.Add(sim.Duration(b)*oefBurstInterval), func() {
-			p.ex.PublishBurst(sched.Rand(), perBurst)
+			p.Ex.PublishBurst(sched.Rand(), perBurst)
 		})
 	}
-	p.ex.OnOrderAccepted = func(*orderentry.Msg, sim.Time) { res.Orders++ }
+	p.Ex.OnOrderAccepted = func(*orderentry.Msg, sim.Time) { res.Orders++ }
 
 	// Stamp the exchange-side death declaration without disturbing the
 	// cancel-on-disconnect hook it triggers.
-	vSess := p.exSess[0]
+	vSess := p.ExSessions[0]
 	onDead := vSess.OnPeerDead
 	vSess.OnPeerDead = func() {
 		if res.DetectIn == 0 {
@@ -176,7 +124,7 @@ func runOEDesign(p oePlant, sc Scenario) OEDesignRun {
 	// Orphan probe: after cancel-on-disconnect, before the redial, nothing
 	// in the book may still belong to the dead session.
 	sched.AtPrio(dropAt.Add(oefOrphanProbe), sim.PrioReport, func() {
-		res.OrphansAtProbe = p.ex.OpenOrdersOf(vSess)
+		res.OrphansAtProbe = p.Ex.OpenOrdersOf(vSess)
 	})
 
 	// Liveness timers re-arm forever, so the run bounds itself by deadline
@@ -186,42 +134,38 @@ func runOEDesign(p oePlant, sc Scenario) OEDesignRun {
 
 	// Reconciliation invariant: every client's working-order view must
 	// equal the exchange's view of that session, victim included.
-	for i, es := range p.exSess {
-		if !equalIDs(p.ex.WorkingOrders(es), p.clients[i].OpenIDs()) {
+	clients := p.clients()
+	for i, es := range p.ExSessions {
+		if !equalIDs(p.Ex.WorkingOrders(es), clients[i].OpenIDs()) {
 			res.ViewMismatch++
 		}
 	}
 
-	res.CODCancels = p.ex.CancelOnDisconnect
-	for _, es := range p.exSess {
+	res.CODCancels = p.Ex.CancelOnDisconnect
+	for _, es := range p.ExSessions {
 		res.Replayed += es.ReplayedMsgs
 		res.DupSuppressed += es.DupSuppressed
 		res.ResyncRefused += es.ResyncRefused
 		res.BusyRejects += es.BusyRejects
 	}
-	for _, cs := range p.clients {
+	for _, cs := range clients {
 		res.Resubmits += cs.Resubmits
 		res.Overfills += cs.Overfills
 	}
-	for _, g := range p.gws {
-		res.Reconnects += g.Reconnects
+	res.Reconnects, res.Unknowns = p.sessionCounters()
+	for _, g := range p.Gws {
 		res.Rejected += g.SessionDownRejects
-		res.Unknowns += g.Unknowns
 	}
-	for _, s := range p.strats {
+	for _, s := range p.Strats {
 		res.Halts += s.Halts
 		res.Resumes += s.Resumes
-		if p.gws == nil { // cloud: strategies own the session machinery
-			res.Reconnects += s.Reconnects
-			res.Unknowns += s.UnknownOrders
-		}
 	}
 
 	reg := metrics.NewRegistry()
 	reg.RegisterUint("oe.retries", &res.Resubmits)
 	reg.RegisterUint("oe.busy_rejects", &res.BusyRejects)
-	reg.RegisterUint("oe.cancel_on_disconnect", &p.ex.CancelOnDisconnect)
-	reg.RegisterUint("oe.sessions_dropped", &p.ex.SessionsDropped)
+	reg.RegisterUint("oe.cancel_on_disconnect", &p.Ex.CancelOnDisconnect)
+	reg.RegisterUint("oe.sessions_dropped", &p.Ex.SessionsDropped)
 	reg.RegisterUint("oe.replayed", &res.Replayed)
 	reg.RegisterUint("oe.dup_suppressed", &res.DupSuppressed)
 	reg.RegisterUint("oe.reconnects", &res.Reconnects)
@@ -289,14 +233,11 @@ func RunOEFailover(sc Scenario, seeds []int64) OEFailoverReport {
 	out.Runs = RunParallel(seeds, func(seed int64) OEFailoverResult {
 		sd := s
 		sd.Seed = seed
-		return OEFailoverResult{
-			Seed: seed,
-			Designs: []OEDesignRun{
-				runOEDesign(oePlantDesign1(sd), sd),
-				runOEDesign(oePlantDesign2(sd), sd),
-				runOEDesign(oePlantDesign3(sd), sd),
-			},
+		res := OEFailoverResult{Seed: seed}
+		for _, build := range designPlants {
+			res.Designs = append(res.Designs, runOEDesign(build(sd)))
 		}
+		return res
 	})
 	return out
 }

@@ -31,21 +31,18 @@ type DesignComparison struct {
 // and 2 (equalized cloud).
 func RunDesignComparison(sc Scenario, bursts int) DesignComparison {
 	var out DesignComparison
-	art := func(t *Telemetry, design string, sched *sim.Scheduler) {
+	add := func(p *Plant, rt RoundTrip, design string) {
+		out.Rows = append(out.Rows, rt)
 		if sc.Telemetry != nil {
-			out.Artifacts = append(out.Artifacts, t.Artifact("designs", design, "", sc, sched))
+			out.Artifacts = append(out.Artifacts, p.Tel.Artifact("designs", design, "", sc, p.Sched))
 		}
 	}
 	d1 := NewDesign1(sc, device.DefaultCommodityConfig())
-	out.Rows = append(out.Rows, d1.MeasureRoundTrip(bursts))
-	art(d1.Tel, "design1", d1.Sched)
+	add(&d1.Plant, d1.MeasureRoundTrip(bursts), "design1")
 	d3 := NewDesign3(sc, 0)
-	out.Rows = append(out.Rows, d3.MeasureRoundTrip(bursts))
-	art(d3.Tel, "design3", d3.Sched)
-	lats := []sim.Duration{5 * sim.Microsecond, 20 * sim.Microsecond, 12 * sim.Microsecond}
-	d2 := NewDesign2(sc, lats, true)
-	out.Rows = append(out.Rows, d2.MeasureRoundTrip(bursts))
-	art(d2.Tel, "design2", d2.Sched)
+	add(&d3.Plant, d3.MeasureRoundTrip(bursts), "design3")
+	d2 := NewDesign2(sc, cloudTenantLats(), true)
+	add(&d2.Plant, d2.MeasureRoundTrip(bursts), "design2")
 	return out
 }
 

@@ -9,7 +9,6 @@ import (
 	"tradenet/internal/metrics"
 	"tradenet/internal/netsim"
 	"tradenet/internal/orderentry"
-	"tradenet/internal/pkt"
 	"tradenet/internal/replication"
 	"tradenet/internal/sim"
 	"tradenet/internal/units"
@@ -75,8 +74,8 @@ func haGrace() orderentry.ExchangeResilience {
 }
 
 // HACluster owns one primary/standby exchange pair: the replication link
-// between them, the journal heartbeat, the promotion watchdog, and the
-// session re-home routing.
+// between them, the journal heartbeat, and the promotion watchdog. Clients
+// re-home through Active (see Plant.redial).
 type HACluster struct {
 	Sched    *sim.Scheduler
 	Primary  *exchange.Exchange
@@ -204,16 +203,6 @@ func (c *HACluster) Active() *exchange.Exchange {
 		return c.Backup
 	}
 	return c.Primary
-}
-
-// Reaccept provisions a replacement order-entry endpoint for the client on
-// session-table index idx, at whichever exchange is live — the HA-aware
-// form of Exchange.ReacceptSession that redial closures route through. Both
-// machines allocate session indexes in accept order, so idx addresses the
-// same logical session on either.
-func (c *HACluster) Reaccept(idx int, clientAddr pkt.UDPAddr) pkt.UDPAddr {
-	ex := c.Active()
-	return ex.OENIC().Addr(ex.ReacceptSession(ex.SessionAt(idx), clientAddr))
 }
 
 // FaultName implements fault.Process, naming the primary (the process a

@@ -87,8 +87,7 @@ func TestHAFailoverPromotesAndRehomes(t *testing.T) {
 	// Every client's working-order view must equal the promoted venue's.
 	bak := d.HA.Backup
 	var overfills uint64
-	for i, g := range d.Gws {
-		cs := g.ExchangeSession()
+	for i, cs := range d.clients() {
 		if !equalIDs(bak.WorkingOrders(bak.SessionAt(i)), cs.OpenIDs()) {
 			t.Fatalf("gateway %d: client view diverged from promoted book", i)
 		}
@@ -150,7 +149,7 @@ func TestHAPassivePairIsDeterministic(t *testing.T) {
 
 	// Cloud design: the standby hangs off inert equalizer ports, so arming
 	// the pair must not move a single sample against the knob-off plant.
-	lats := []sim.Duration{5 * sim.Microsecond, 20 * sim.Microsecond, 12 * sim.Microsecond}
+	lats := cloudTenantLats()
 	off := SmallScenario()
 	off.Seed = 5
 	on := off

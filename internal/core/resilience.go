@@ -81,36 +81,14 @@ func oeExchangeResilience() exchange.Resilience {
 	}
 }
 
-// hardenGateway arms a gateway's exchange-facing session and wires its
-// redial to a replacement endpoint at the exchange. clientAddr is the
-// gateway's own OE address — the exchange needs it to provision the
-// replacement stream.
-func hardenGateway(g *firm.Gateway, ex *exchange.Exchange, sess *orderentry.ExchangeSession, clientAddr pkt.UDPAddr) {
+// hardenGateway arms a gateway's exchange-facing session. reconnect
+// provisions the replacement endpoint a redial dials (Plant.redial).
+func hardenGateway(g *firm.Gateway, reconnect func() pkt.UDPAddr) {
 	g.HardenExchangeSession(firm.GatewayResilience{
-		Liveness:       oeLiveness(),
-		Retry:          oeRetry(),
-		ReconnectDelay: oeReconnectDelay,
-		Reconnect: func() pkt.UDPAddr {
-			return ex.OENIC().Addr(ex.ReacceptSession(sess, clientAddr))
-		},
-		StreamMaxRTO:    oeStreamMaxRTO,
-		StreamDeadAfter: oeStreamDeadAfter,
-	})
-}
-
-// hardenGatewayHA mirrors hardenGateway with the redial routed through the
-// HA cluster: the replacement endpoint is provisioned by whichever exchange
-// is live at redial time, addressed by the session-table index both sides
-// of the replication pair share — after a failover the same closure lands
-// the gateway on the promoted standby's twin session.
-func hardenGatewayHA(g *firm.Gateway, ha *HACluster, idx int, clientAddr pkt.UDPAddr) {
-	g.HardenExchangeSession(firm.GatewayResilience{
-		Liveness:       oeLiveness(),
-		Retry:          oeRetry(),
-		ReconnectDelay: oeReconnectDelay,
-		Reconnect: func() pkt.UDPAddr {
-			return ha.Reaccept(idx, clientAddr)
-		},
+		Liveness:        oeLiveness(),
+		Retry:           oeRetry(),
+		ReconnectDelay:  oeReconnectDelay,
+		Reconnect:       reconnect,
 		StreamMaxRTO:    oeStreamMaxRTO,
 		StreamDeadAfter: oeStreamDeadAfter,
 	})
@@ -129,30 +107,12 @@ func hardenStrategyBehindGateway(s *firm.Strategy) {
 // hardenTenant arms a cloud tenant that holds its exchange session
 // directly: the full gateway treatment (liveness, retry, reconnect with
 // replay) plus the strategy's quote halt.
-func hardenTenant(s *firm.Strategy, ex *exchange.Exchange, sess *orderentry.ExchangeSession, clientAddr pkt.UDPAddr) {
+func hardenTenant(s *firm.Strategy, reconnect func() pkt.UDPAddr) {
 	s.EnableResilience(firm.StrategyResilience{
-		Liveness:       oeLiveness(),
-		Retry:          oeRetry(),
-		ReconnectDelay: oeReconnectDelay,
-		Reconnect: func() pkt.UDPAddr {
-			return ex.OENIC().Addr(ex.ReacceptSession(sess, clientAddr))
-		},
-		RequoteDelay:    oeRequoteDelay,
-		StreamMaxRTO:    oeStreamMaxRTO,
-		StreamDeadAfter: oeStreamDeadAfter,
-	})
-}
-
-// hardenTenantHA is hardenTenant with the redial routed through the HA
-// cluster (see hardenGatewayHA).
-func hardenTenantHA(s *firm.Strategy, ha *HACluster, idx int, clientAddr pkt.UDPAddr) {
-	s.EnableResilience(firm.StrategyResilience{
-		Liveness:       oeLiveness(),
-		Retry:          oeRetry(),
-		ReconnectDelay: oeReconnectDelay,
-		Reconnect: func() pkt.UDPAddr {
-			return ha.Reaccept(idx, clientAddr)
-		},
+		Liveness:        oeLiveness(),
+		Retry:           oeRetry(),
+		ReconnectDelay:  oeReconnectDelay,
+		Reconnect:       reconnect,
 		RequoteDelay:    oeRequoteDelay,
 		StreamMaxRTO:    oeStreamMaxRTO,
 		StreamDeadAfter: oeStreamDeadAfter,
