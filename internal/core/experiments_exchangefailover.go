@@ -113,7 +113,6 @@ type EHADesignRun struct {
 	DupSuppressed  uint64
 	Replayed       uint64
 	RetriedSubmits uint64 // client-app retries of fast-failed submissions
-	OrdersPrimary  uint64 // accepted by the primary before the crash
 	OrdersBackup   uint64 // accepted by the standby after promotion
 
 	Registry    string // ha.* and oe.* counters from the faulted run
@@ -245,8 +244,6 @@ func runEHAPlant(p *Plant, failover bool, res *EHADesignRun) string {
 	}
 
 	pri, bak := ha.Primary, ha.Backup
-	var ordersPrimary uint64
-	pri.OnOrderAccepted = func(*orderentry.Msg, sim.Time) { ordersPrimary++ }
 
 	if failover {
 		plan := fault.NewPlan(sched)
@@ -298,7 +295,6 @@ func runEHAPlant(p *Plant, failover bool, res *EHADesignRun) string {
 		sched.RunUntil(end)
 
 		res.Promoted = ha.Promoted()
-		res.OrdersPrimary = ordersPrimary
 		if res.Promoted {
 			res.DetectIn = ha.PromotedAt.Sub(crashAt)
 			res.ReplayDepth = ha.AppliedAtPromote - appliedAtCrash
@@ -320,25 +316,9 @@ func runEHAPlant(p *Plant, failover bool, res *EHADesignRun) string {
 		// Re-homed view reconciliation and orphan accounting on the
 		// promoted book: every client's working-order set must equal the
 		// standby's, and every resting order must belong to some session.
-		resting := 0
-		for _, ins := range p.U.All() {
-			resting += bak.Book(ins.ID).Orders()
-		}
-		owned := 0
-		for i, cs := range clients {
-			w := bak.WorkingOrders(bak.SessionAt(i))
-			owned += len(w)
-			if !equalIDs(w, cs.OpenIDs()) {
-				res.ViewMismatch++
-			}
-			res.Overfills += cs.Overfills
-			res.Resubmits += cs.Resubmits
-		}
-		res.Orphans = resting - owned
-		for i := 0; i < bak.NumSessions(); i++ {
-			res.Replayed += bak.SessionAt(i).ReplayedMsgs
-			res.DupSuppressed += bak.SessionAt(i).DupSuppressed
-		}
+		t := p.reconcile(bak)
+		res.ViewMismatch, res.Orphans, res.Overfills = t.viewMismatch, t.orphans, t.overfills
+		res.Resubmits, res.Replayed, res.DupSuppressed = t.resubmits, t.replayed, t.dupSuppressed
 		res.Reconnects, res.Unknowns = p.sessionCounters()
 		for _, n := range p.Norms {
 			res.FeedGaps += n.MsgLost

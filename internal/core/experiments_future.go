@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"tradenet/internal/capture"
 	"tradenet/internal/device"
 	"tradenet/internal/firm"
 	"tradenet/internal/metrics"
@@ -277,8 +278,9 @@ func RunTimestampPrecision(pairs int, seed int64) TimestampPrecisionResult {
 		rng := rand.New(rand.NewSource(seed))
 		inv := 0
 		for i := 0; i < pairs; i++ {
-			a := newSyncedClock(prec, rng)
-			b := newSyncedClock(prec, rng)
+			a, b := capture.NewClock(0, 0), capture.NewClock(0, 0)
+			a.Sync(0, prec, rng)
+			b.Sync(0, prec, rng)
 			t0 := sim.Time(i) * sim.Time(sim.Microsecond)
 			t1 := t0.Add(gap)
 			if b.Read(t1) < a.Read(t0) {
@@ -289,18 +291,6 @@ func RunTimestampPrecision(pairs int, seed int64) TimestampPrecisionResult {
 	}
 	return out
 }
-
-func newSyncedClock(prec sim.Duration, rng *rand.Rand) *clockShim {
-	off := sim.Duration(0)
-	if prec > 0 {
-		off = sim.Duration(rng.Int63n(int64(2*prec)+1)) - prec
-	}
-	return &clockShim{off: off}
-}
-
-type clockShim struct{ off sim.Duration }
-
-func (c *clockShim) Read(t sim.Time) sim.Time { return t.Add(c.off) }
 
 // String renders the precision sweep.
 func (r TimestampPrecisionResult) String() string {

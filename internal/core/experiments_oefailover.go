@@ -66,7 +66,6 @@ type OEDesignRun struct {
 	CODCancels    uint64 // exchange cancels issued by cancel-on-disconnect
 	Replayed      uint64 // retained responses replayed at resync
 	DupSuppressed uint64 // idempotent duplicate submissions absorbed
-	ResyncRefused uint64 // resyncs refused (retain window rolled out)
 	Resubmits     uint64 // client new-order re-emissions
 	BusyRejects   uint64 // submissions shed by the ingress token bucket
 	Reconnects    uint64 // sessions redialed
@@ -134,24 +133,10 @@ func runOEDesign(p *Plant) OEDesignRun {
 
 	// Reconciliation invariant: every client's working-order view must
 	// equal the exchange's view of that session, victim included.
-	clients := p.clients()
-	for i, es := range p.ExSessions {
-		if !equalIDs(p.Ex.WorkingOrders(es), clients[i].OpenIDs()) {
-			res.ViewMismatch++
-		}
-	}
-
+	t := p.reconcile(p.Ex)
+	res.ViewMismatch, res.Overfills, res.Resubmits = t.viewMismatch, t.overfills, t.resubmits
+	res.Replayed, res.DupSuppressed, res.BusyRejects = t.replayed, t.dupSuppressed, t.busyRejects
 	res.CODCancels = p.Ex.CancelOnDisconnect
-	for _, es := range p.ExSessions {
-		res.Replayed += es.ReplayedMsgs
-		res.DupSuppressed += es.DupSuppressed
-		res.ResyncRefused += es.ResyncRefused
-		res.BusyRejects += es.BusyRejects
-	}
-	for _, cs := range clients {
-		res.Resubmits += cs.Resubmits
-		res.Overfills += cs.Overfills
-	}
 	res.Reconnects, res.Unknowns = p.sessionCounters()
 	for _, g := range p.Gws {
 		res.Rejected += g.SessionDownRejects

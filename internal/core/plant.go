@@ -184,6 +184,40 @@ func (p *Plant) sessionCounters() (reconnects, unknowns uint64) {
 	return reconnects, unknowns
 }
 
+// sessionTally is the end-of-run reconciliation of the clients' sessions
+// against one exchange's view of them.
+type sessionTally struct {
+	viewMismatch int // sessions whose client working-order set differs from the exchange's
+	orphans      int // resting orders no session owns
+	// Client side.
+	overfills, resubmits uint64
+	// Exchange side.
+	replayed, dupSuppressed, busyRejects uint64
+}
+
+// reconcile compares each client session with ex's session at the same
+// index — the primary's, or after a failover the promoted standby's.
+func (p *Plant) reconcile(ex *exchange.Exchange) sessionTally {
+	var t sessionTally
+	for _, ins := range p.U.All() {
+		t.orphans += ex.Book(ins.ID).Orders()
+	}
+	for i, cs := range p.clients() {
+		es := ex.SessionAt(i)
+		w := ex.WorkingOrders(es)
+		t.orphans -= len(w)
+		if !equalIDs(w, cs.OpenIDs()) {
+			t.viewMismatch++
+		}
+		t.overfills += cs.Overfills
+		t.resubmits += cs.Resubmits
+		t.replayed += es.ReplayedMsgs
+		t.dupSuppressed += es.DupSuppressed
+		t.busyRejects += es.BusyRejects
+	}
+	return t
+}
+
 // measure runs the shared burst-publish / order-capture loop: after a
 // settle-in period (logons), it publishes `bursts` isolated message bursts
 // 2 ms apart and attributes each accepted order to the most recent burst.

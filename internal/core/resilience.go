@@ -81,17 +81,23 @@ func oeExchangeResilience() exchange.Resilience {
 	}
 }
 
-// hardenGateway arms a gateway's exchange-facing session. reconnect
-// provisions the replacement endpoint a redial dials (Plant.redial).
-func hardenGateway(g *firm.Gateway, reconnect func() pkt.UDPAddr) {
-	g.HardenExchangeSession(firm.GatewayResilience{
+// oeSession is the client-session hardening shared by a gateway and a
+// tenant that holds its exchange session directly. reconnect provisions the
+// replacement endpoint a redial dials (Plant.redial).
+func oeSession(reconnect func() pkt.UDPAddr) firm.SessionResilience {
+	return firm.SessionResilience{
 		Liveness:        oeLiveness(),
 		Retry:           oeRetry(),
 		ReconnectDelay:  oeReconnectDelay,
 		Reconnect:       reconnect,
 		StreamMaxRTO:    oeStreamMaxRTO,
 		StreamDeadAfter: oeStreamDeadAfter,
-	})
+	}
+}
+
+// hardenGateway arms a gateway's exchange-facing session.
+func hardenGateway(g *firm.Gateway, reconnect func() pkt.UDPAddr) {
+	g.HardenExchangeSession(oeSession(reconnect))
 }
 
 // hardenStrategyBehindGateway arms only the market-exit behavior: the
@@ -109,12 +115,7 @@ func hardenStrategyBehindGateway(s *firm.Strategy) {
 // replay) plus the strategy's quote halt.
 func hardenTenant(s *firm.Strategy, reconnect func() pkt.UDPAddr) {
 	s.EnableResilience(firm.StrategyResilience{
-		Liveness:        oeLiveness(),
-		Retry:           oeRetry(),
-		ReconnectDelay:  oeReconnectDelay,
-		Reconnect:       reconnect,
-		RequoteDelay:    oeRequoteDelay,
-		StreamMaxRTO:    oeStreamMaxRTO,
-		StreamDeadAfter: oeStreamDeadAfter,
+		SessionResilience: oeSession(reconnect),
+		RequoteDelay:      oeRequoteDelay,
 	})
 }

@@ -173,9 +173,6 @@ const RetainDgrams = 4096
 // traces, accepted orders finish them. Pass nil to disable.
 func (e *Exchange) EnableTracing(r *trace.Recorder) { e.tracer = r }
 
-// Tracer returns the installed flight recorder (nil when tracing is off).
-func (e *Exchange) Tracer() *trace.Recorder { return e.tracer }
-
 // RecoveryServer exposes the exchange's gap-recovery service; callers wire
 // its Receive to an order-entry-style stream (real feeds run it on a
 // dedicated TCP endpoint).

@@ -40,9 +40,6 @@ func (e *Exchange) Journal() *replication.Journal { return e.jrn }
 // Promote.
 func (e *Exchange) StartShadow() { e.dark = true }
 
-// Dark reports whether the exchange is an unpromoted standby.
-func (e *Exchange) Dark() bool { return e.dark }
-
 // Crashed reports whether the process has been killed by a fault.
 func (e *Exchange) Crashed() bool { return e.crashed }
 

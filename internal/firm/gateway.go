@@ -25,20 +25,13 @@ type GatewayConfig struct {
 // re-sequencing — §2's "translate from internal order entry formats back to
 // the protocols that the exchanges use".
 type Gateway struct {
+	// oeClient is the exchange-facing session: its nic, stream and
+	// session, hardening (res) and the host's scheduler.
+	oeClient
 	cfg   GatewayConfig
-	sched *sim.Scheduler
 	host  *netsim.Host
 	inNIC *netsim.NIC
-	exNIC *netsim.NIC
 	inMux *netsim.StreamMux
-
-	exSession *orderentry.ClientSession
-	exStream  *netsim.Stream
-	exMux     *netsim.StreamMux
-	exPort    uint16
-
-	// res, when set, hardens the exchange-facing session (resilience.go).
-	res *GatewayResilience
 
 	// id translation: exchange-facing id ↔ (internal session, internal id).
 	nextExID uint64
@@ -60,7 +53,6 @@ type Gateway struct {
 	Relayed   uint64
 	Responses uint64
 	// Resilience stats (resilience.go).
-	Reconnects         uint64 // exchange-session redials completed
 	Unknowns           uint64 // orders escalated as unknown to their owner
 	SessionDownRejects uint64 // requests failed fast while the session was down
 }
@@ -105,15 +97,15 @@ type relayReq struct {
 func NewGateway(sched *sim.Scheduler, name string, hostID uint32, cfg GatewayConfig) *Gateway {
 	g := &Gateway{
 		cfg:      cfg,
-		sched:    sched,
 		byExID:   make(map[uint64]clientRef),
 		toExID:   make(map[clientRef]uint64),
 		exchIDs:  make(map[uint64]uint64),
 		nextPort: GatewayBasePort,
 	}
+	g.sched = sched
 	g.host = netsim.NewHost(sched, name)
 	g.inNIC = g.host.AddNIC("internal", hostID)
-	g.exNIC = g.host.AddNIC("exchange", hostID+1)
+	g.nic = g.host.AddNIC("exchange", hostID+1)
 	g.inMux = netsim.NewStreamMux(g.inNIC)
 	return g
 }
@@ -122,40 +114,33 @@ func NewGateway(sched *sim.Scheduler, name string, hostID uint32, cfg GatewayCon
 func (g *Gateway) InNIC() *netsim.NIC { return g.inNIC }
 
 // ExNIC returns the exchange-facing NIC.
-func (g *Gateway) ExNIC() *netsim.NIC { return g.exNIC }
+func (g *Gateway) ExNIC() *netsim.NIC { return g.nic }
 
 // ConnectExchange opens the gateway's session to an exchange order port.
 func (g *Gateway) ConnectExchange(localPort uint16, exchangeAddr pkt.UDPAddr) {
-	g.exMux = netsim.NewStreamMux(g.exNIC)
-	g.exPort = localPort
-	g.exStream = netsim.NewStream(g.exNIC, localPort, exchangeAddr)
-	g.exMux.Register(g.exStream)
-	g.exSession = orderentry.NewClientSession(func(b []byte) { g.exStream.Write(b) })
-	g.exStream.OnData = func(b []byte) { g.exSession.Receive(b) }
-
-	g.exSession.OnExchangeID = func(exID, exchOrderID uint64) {
+	g.dial(localPort, exchangeAddr)
+	g.session.OnExchangeID = func(exID, exchOrderID uint64) {
 		g.exchIDs[exID] = exchOrderID
 	}
-	g.exSession.OnAck = func(exID uint64) {
+	g.session.OnAck = func(exID uint64) {
 		g.respond(exID, respAck, 0, 0, orderentry.RejectNone)
 	}
-	g.exSession.OnFill = func(exID uint64, qty market.Qty, price market.Price, done bool) {
+	g.session.OnFill = func(exID uint64, qty market.Qty, price market.Price, done bool) {
 		g.respond(exID, respFill, qty, price, orderentry.RejectNone)
 	}
-	g.exSession.OnReject = func(exID uint64, r orderentry.RejectReason) {
+	g.session.OnReject = func(exID uint64, r orderentry.RejectReason) {
 		g.respond(exID, respReject, 0, 0, r)
 	}
-	g.exSession.OnCancelAck = func(exID uint64) {
+	g.session.OnCancelAck = func(exID uint64) {
 		g.respond(exID, respCancelAck, 0, 0, orderentry.RejectNone)
 	}
-	g.exSession.OnCancelReject = func(exID uint64) {
+	g.session.OnCancelReject = func(exID uint64) {
 		g.respond(exID, respCancelReject, 0, 0, orderentry.RejectNone)
 	}
-	g.exSession.Logon()
 }
 
 // ExchangeSession returns the exchange-facing session (nil before connect).
-func (g *Gateway) ExchangeSession() *orderentry.ClientSession { return g.exSession }
+func (g *Gateway) ExchangeSession() *orderentry.ClientSession { return g.session }
 
 func (g *Gateway) respond(exID uint64, kind respKind, qty market.Qty, price market.Price, reason orderentry.RejectReason) {
 	ref, ok := g.byExID[exID]
@@ -244,7 +229,7 @@ func (g *Gateway) copyReq(sess *orderentry.ExchangeSession, m *orderentry.Msg) *
 // to the Scheduler's closure-free two-argument callback shape.
 func relayNewArgs(a, b any) {
 	g, r := a.(*Gateway), b.(*relayReq)
-	if g.res != nil && !g.exSession.LoggedOn() {
+	if g.res != nil && !g.session.LoggedOn() {
 		// Exchange session down: fail fast so the owner learns now, instead
 		// of the order dying silently in a dead socket.
 		r.tr.Finish(trace.EndConsumed)
@@ -261,13 +246,13 @@ func relayNewArgs(a, b any) {
 	g.toExID[ref] = exID
 	g.Relayed++
 	g.attachTrace(r)
-	g.exSession.NewOrder(exID, r.m.Symbol, r.m.Side, r.m.Price, r.m.Qty)
+	g.session.NewOrder(exID, r.m.Symbol, r.m.Side, r.m.Price, r.m.Qty)
 	g.releaseReq(r)
 }
 
 func relayCancelArgs(a, b any) {
 	g, r := a.(*Gateway), b.(*relayReq)
-	if g.res != nil && !g.exSession.LoggedOn() {
+	if g.res != nil && !g.session.LoggedOn() {
 		r.tr.Finish(trace.EndConsumed)
 		r.tr = nil
 		g.SessionDownRejects++
@@ -279,7 +264,7 @@ func relayCancelArgs(a, b any) {
 	if exID, ok := g.toExID[ref]; ok {
 		g.Relayed++
 		g.attachTrace(r)
-		g.exSession.Cancel(exID)
+		g.session.Cancel(exID)
 	} else {
 		r.tr.Finish(trace.EndConsumed)
 		r.tr = nil
@@ -290,7 +275,7 @@ func relayCancelArgs(a, b any) {
 
 func relayModifyArgs(a, b any) {
 	g, r := a.(*Gateway), b.(*relayReq)
-	if g.res != nil && !g.exSession.LoggedOn() {
+	if g.res != nil && !g.session.LoggedOn() {
 		r.tr.Finish(trace.EndConsumed)
 		r.tr = nil
 		g.SessionDownRejects++
@@ -302,7 +287,7 @@ func relayModifyArgs(a, b any) {
 	if exID, ok := g.toExID[ref]; ok {
 		g.Relayed++
 		g.attachTrace(r)
-		g.exSession.Modify(exID, r.m.Price, r.m.Qty)
+		g.session.Modify(exID, r.m.Price, r.m.Qty)
 	} else {
 		r.tr.Finish(trace.EndConsumed)
 		r.tr = nil
@@ -316,7 +301,7 @@ func relayModifyArgs(a, b any) {
 func (g *Gateway) attachTrace(r *relayReq) {
 	if t := r.tr; t != nil {
 		t.Record(g.host.Name, trace.CauseSoftware, g.sched.Now())
-		g.exStream.AttachTxTrace(t)
+		g.stream.AttachTxTrace(t)
 		r.tr = nil
 	}
 }

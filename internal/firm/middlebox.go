@@ -75,9 +75,6 @@ func (mb *Middlebox) InNIC() *netsim.NIC { return mb.inNIC }
 // OutNIC returns the republishing NIC.
 func (mb *Middlebox) OutNIC() *netsim.NIC { return mb.out }
 
-// OutGroup returns the filtered feed's group.
-func (mb *Middlebox) OutGroup() pkt.IP4 { return mb.outGroup }
-
 func (mb *Middlebox) onFrame(_ *netsim.NIC, f *netsim.Frame) {
 	// Messages are re-encoded into the packer before this returns; the
 	// frame terminates here.

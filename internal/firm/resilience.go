@@ -1,101 +1,105 @@
-// Firm-side order-entry resilience: the gateway hardens its exchange-facing
-// session (liveness, ack-timeout resubmission, reconnect with sequence
-// resync) and escalates unrecoverable orders to their owners; strategies
-// halt quoting when their order path degrades and re-enter deterministically.
+// Firm-side order-entry resilience: an oeClient hardens its session
+// (liveness, ack-timeout resubmission, reconnect with sequence resync); the
+// gateway escalates unrecoverable orders to their owners; strategies halt
+// quoting when their order path degrades and re-enter deterministically.
 // Everything is opt-in — an unhardened gateway or strategy behaves exactly
 // as before.
 package firm
 
 import (
-	"tradenet/internal/netsim"
 	"tradenet/internal/orderentry"
 	"tradenet/internal/pkt"
 	"tradenet/internal/sim"
 )
 
-// GatewayResilience parameterizes the gateway's exchange-session hardening.
-type GatewayResilience struct {
-	// Liveness arms heartbeats and peer-death detection toward the exchange.
+// SessionResilience parameterizes the hardening of an order-entry client
+// session: the gateway's session to the exchange, or a cloud tenant's.
+type SessionResilience struct {
+	// Liveness arms heartbeats and peer-death detection toward the peer.
 	Liveness orderentry.LivenessConfig
 	// Retry arms ack-timeout resubmission with capped exponential backoff.
 	Retry orderentry.RetryConfig
-	// ReconnectDelay is how long after peer-death the gateway waits before
+	// ReconnectDelay is how long after peer-death the client waits before
 	// dialing back in.
 	ReconnectDelay sim.Duration
 	// Reconnect provisions a replacement endpoint at the exchange and
 	// returns the new address to dial (core wires it to ReacceptSession).
 	// Nil disables reconnection: the session stays dead.
 	Reconnect func() pkt.UDPAddr
-	// StreamMaxRTO / StreamDeadAfter harden the exchange-facing transport
-	// (exponential RTO backoff, connection-dead detection).
+	// StreamMaxRTO / StreamDeadAfter harden the transport (exponential RTO
+	// backoff, connection-dead detection).
 	StreamMaxRTO    sim.Duration
 	StreamDeadAfter int
 }
 
-// HardenExchangeSession arms resilience on the exchange-facing session.
-// Call after ConnectExchange.
-func (g *Gateway) HardenExchangeSession(cfg GatewayResilience) {
-	g.res = &cfg
-	s := g.exSession
-	s.OnPeerDead = g.onExchangeDead
-	s.OnOrderUnknown = g.escalateUnknown
+// harden arms cfg on the session and its transport.
+func (c *oeClient) harden(cfg SessionResilience) {
+	c.res = &cfg
+	c.session.OnPeerDead = c.onPeerDead
 	if cfg.Retry.AckTimeout > 0 {
-		s.EnableRetry(g.sched, cfg.Retry)
+		c.session.EnableRetry(c.sched, cfg.Retry)
 	}
-	g.hardenExStream()
+	c.hardenStream()
 	if cfg.Liveness.Interval > 0 {
-		s.StartLiveness(g.sched, cfg.Liveness)
+		c.session.StartLiveness(c.sched, cfg.Liveness)
 	}
 }
 
-func (g *Gateway) hardenExStream() {
-	g.exStream.MaxRTO = g.res.StreamMaxRTO
-	g.exStream.DeadAfter = g.res.StreamDeadAfter
-	if g.res.StreamDeadAfter > 0 {
+func (c *oeClient) hardenStream() {
+	c.stream.MaxRTO = c.res.StreamMaxRTO
+	c.stream.DeadAfter = c.res.StreamDeadAfter
+	if c.res.StreamDeadAfter > 0 {
 		// A transport death converges on the same peer-death path liveness
 		// uses; declarePeerDead is idempotent, whichever fires first wins.
-		g.exStream.OnDead = g.exSession.Drop
+		c.stream.OnDead = c.session.Drop
 	}
 }
-
-// FaultName identifies the gateway in a fault plan's event log.
-func (g *Gateway) FaultName() string { return g.host.Name }
 
 // DropSession models the local side of an order-entry cut (fault
 // injection): the transport dies instantly and the session tears down
 // without waiting for the liveness deadline.
-func (g *Gateway) DropSession() {
-	g.exStream.Kill()
-	g.exSession.Drop()
+func (c *oeClient) DropSession() {
+	c.stream.Kill()
+	c.session.Drop()
 }
 
-// onExchangeDead runs at the exact virtual instant the exchange is declared
-// unreachable: retire the transport and schedule the redial.
-func (g *Gateway) onExchangeDead() {
-	g.exStream.Kill()
-	if g.res == nil || g.res.Reconnect == nil {
+// onPeerDead runs at the exact virtual instant the peer is declared
+// unreachable: the owner's down hook, then retire the transport and
+// schedule the redial.
+func (c *oeClient) onPeerDead() {
+	if c.down != nil {
+		c.down()
+	}
+	c.stream.Kill()
+	if c.res.Reconnect == nil {
 		return
 	}
-	g.sched.AfterArgs(g.res.ReconnectDelay, sim.PrioControl, gwReconnectArgs, g, nil)
+	c.sched.AfterArgs(c.res.ReconnectDelay, sim.PrioControl, reconnectArgs, c, nil)
 }
 
-// gwReconnectArgs adapts the redial to the scheduler's closure-free
-// callback shape.
-func gwReconnectArgs(a, _ any) { a.(*Gateway).reconnectExchange() }
+// reconnectArgs adapts the redial to the scheduler's closure-free callback
+// shape.
+func reconnectArgs(a, _ any) { a.(*oeClient).reconnect() }
 
-// reconnectExchange dials the replacement exchange endpoint and resumes the
-// session on it: same local port (the remote port changed, so the mux key
-// is fresh), sequence resync via Relogon, orders reconciled off the replay.
-func (g *Gateway) reconnectExchange() {
-	remote := g.res.Reconnect()
-	g.exStream = netsim.NewStream(g.exNIC, g.exPort, remote)
-	g.exMux.Register(g.exStream)
-	g.exStream.OnData = func(b []byte) { g.exSession.Receive(b) }
-	g.hardenExStream()
-	g.exSession.Rebind(func(b []byte) { g.exStream.Write(b) })
-	g.Reconnects++
-	g.exSession.Relogon()
+// reconnect dials the replacement endpoint and resumes the session on it:
+// same local port (the remote port changed, so the mux key is fresh),
+// sequence resync via Relogon, orders reconciled off the replay.
+func (c *oeClient) reconnect() {
+	c.openStream(c.res.Reconnect())
+	c.hardenStream()
+	c.Reconnects++
+	c.session.Relogon()
 }
+
+// HardenExchangeSession arms resilience on the exchange-facing session.
+// Call after ConnectExchange.
+func (g *Gateway) HardenExchangeSession(cfg SessionResilience) {
+	g.session.OnOrderUnknown = g.escalateUnknown
+	g.harden(cfg)
+}
+
+// FaultName identifies the gateway in a fault plan's event log.
+func (g *Gateway) FaultName() string { return g.host.Name }
 
 // escalateUnknown tells an order's owner that its fate is unknowable: the
 // exchange session died and resubmission was exhausted. The id mappings are
@@ -116,28 +120,22 @@ func (g *Gateway) escalateUnknown(exID uint64) {
 // Strategy resilience
 
 // StrategyResilience parameterizes a strategy's order-path hardening. The
-// session-level knobs (liveness, retry, reconnect) matter when the strategy
-// speaks to the exchange directly (the cloud design); behind a gateway the
-// halt/requote behavior is the active part.
+// session-level knobs matter when the strategy speaks to the exchange
+// directly (the cloud design); behind a gateway the halt/requote behavior is
+// the active part.
 type StrategyResilience struct {
-	Liveness orderentry.LivenessConfig
-	Retry    orderentry.RetryConfig
-	// ReconnectDelay / Reconnect mirror the gateway's redial machinery.
-	ReconnectDelay sim.Duration
-	Reconnect      func() pkt.UDPAddr
+	SessionResilience
 	// RequoteDelay is how long the strategy stays out of the market after a
 	// session-down signal before quoting again. Zero keeps it halted until
 	// the session re-logs-on.
-	RequoteDelay    sim.Duration
-	StreamMaxRTO    sim.Duration
-	StreamDeadAfter int
+	RequoteDelay sim.Duration
 }
 
 // EnableResilience arms order-path hardening. Call after ConnectGateway.
 func (s *Strategy) EnableResilience(cfg StrategyResilience) {
-	s.res = &cfg
+	s.requoteDelay = cfg.RequoteDelay
+	s.down = s.haltQuoting
 	sess := s.session
-	sess.OnPeerDead = s.onSessionDead
 	sess.OnOrderUnknown = func(uint64) {
 		s.UnknownOrders++
 		s.haltQuoting()
@@ -150,35 +148,11 @@ func (s *Strategy) EnableResilience(cfg StrategyResilience) {
 		}
 	}
 	sess.OnLogon = func() { s.resumeQuoting() }
-	if cfg.Retry.AckTimeout > 0 {
-		sess.EnableRetry(s.sched, cfg.Retry)
-	}
-	s.hardenOEStream()
-	if cfg.Liveness.Interval > 0 {
-		sess.StartLiveness(s.sched, cfg.Liveness)
-	}
-}
-
-func (s *Strategy) hardenOEStream() {
-	s.stream.MaxRTO = s.res.StreamMaxRTO
-	s.stream.DeadAfter = s.res.StreamDeadAfter
-	if s.res.StreamDeadAfter > 0 {
-		s.stream.OnDead = s.session.Drop
-	}
+	s.harden(cfg.SessionResilience)
 }
 
 // FaultName identifies the strategy in a fault plan's event log.
 func (s *Strategy) FaultName() string { return s.host.Name }
-
-// DropSession models the local side of an order-entry cut (fault
-// injection) for strategies that hold the exchange session themselves.
-func (s *Strategy) DropSession() {
-	s.stream.Kill()
-	s.session.Drop()
-}
-
-// Halted reports whether the strategy is currently out of the market.
-func (s *Strategy) Halted() bool { return s.halted }
 
 // haltQuoting takes the strategy out of the market; with a RequoteDelay it
 // re-enters on a timer, otherwise on the next logon.
@@ -188,8 +162,8 @@ func (s *Strategy) haltQuoting() {
 	}
 	s.halted = true
 	s.Halts++
-	if s.res.RequoteDelay > 0 {
-		s.sched.AfterArgs(s.res.RequoteDelay, sim.PrioControl, requoteArgs, s, nil)
+	if s.requoteDelay > 0 {
+		s.sched.AfterArgs(s.requoteDelay, sim.PrioControl, requoteArgs, s, nil)
 	}
 }
 
@@ -203,30 +177,4 @@ func (s *Strategy) resumeQuoting() {
 	}
 	s.halted = false
 	s.Resumes++
-}
-
-// onSessionDead mirrors the gateway's death path: halt, retire the
-// transport, schedule the redial.
-func (s *Strategy) onSessionDead() {
-	s.haltQuoting()
-	s.stream.Kill()
-	if s.res == nil || s.res.Reconnect == nil {
-		return
-	}
-	s.sched.AfterArgs(s.res.ReconnectDelay, sim.PrioControl, stratReconnectArgs, s, nil)
-}
-
-// stratReconnectArgs adapts the redial to the scheduler's closure-free
-// callback shape.
-func stratReconnectArgs(a, _ any) { a.(*Strategy).reconnectSession() }
-
-func (s *Strategy) reconnectSession() {
-	remote := s.res.Reconnect()
-	s.stream = netsim.NewStream(s.oeNIC, s.oePort, remote)
-	s.oeMux.Register(s.stream)
-	s.stream.OnData = func(b []byte) { s.session.Receive(b) }
-	s.hardenOEStream()
-	s.session.Rebind(func(b []byte) { s.stream.Write(b) })
-	s.Reconnects++
-	s.session.Relogon()
 }

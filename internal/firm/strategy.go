@@ -39,12 +39,13 @@ type StrategyConfig struct {
 // Strategy consumes the normalized feed, maintains books, and submits
 // orders through a gateway session.
 type Strategy struct {
+	// oeClient is the order path: its nic, stream and session, hardening
+	// (res) and the host's scheduler.
+	oeClient
 	cfg   StrategyConfig
-	sched *sim.Scheduler
 	u     *market.Universe
 	host  *netsim.Host
 	mdNIC *netsim.NIC
-	oeNIC *netsim.NIC
 
 	books map[market.SymbolID]*market.Book
 	reasm map[uint8]*feed.Reassembler
@@ -54,16 +55,12 @@ type Strategy struct {
 	// map, whose iteration order is randomized per run.
 	byOrder map[uint64]*market.Book
 
-	session *orderentry.ClientSession
-	stream  *netsim.Stream
-	oeMux   *netsim.StreamMux
-	oePort  uint16
 	nextOID uint64
 
-	// res, when set, hardens the order path (resilience.go); halted gates
-	// decision firing while the path is untrusted.
-	res    *StrategyResilience
-	halted bool
+	// halted gates decision firing while the order path is untrusted;
+	// requoteDelay is StrategyResilience.RequoteDelay (resilience.go).
+	halted       bool
+	requoteDelay sim.Duration
 	// liveOrders tracks submitted order ids in submission order (only when
 	// PullOnGap is set), so a pull cancels deterministically — never by
 	// iterating the session's map.
@@ -99,7 +96,6 @@ type Strategy struct {
 	Resumes       uint64 // times quoting resumed
 	HaltedOrders  uint64 // decisions suppressed while halted
 	UnknownOrders uint64 // orders escalated as unknown
-	Reconnects    uint64 // order-session redials completed
 }
 
 // NewStrategy builds a strategy host subscribed to the chosen partitions of
@@ -108,15 +104,15 @@ func NewStrategy(sched *sim.Scheduler, u *market.Universe, name string, hostID u
 	outMap *mcast.Map, cfg StrategyConfig) *Strategy {
 	s := &Strategy{
 		cfg:     cfg,
-		sched:   sched,
 		u:       u,
 		books:   make(map[market.SymbolID]*market.Book),
 		reasm:   make(map[uint8]*feed.Reassembler),
 		byOrder: make(map[uint64]*market.Book),
 	}
+	s.sched = sched
 	s.host = netsim.NewHost(sched, name)
 	s.mdNIC = s.host.AddNIC("md", hostID)
-	s.oeNIC = s.host.AddNIC("oe", hostID+1)
+	s.nic = s.host.AddNIC("oe", hostID+1)
 
 	parts := cfg.Subscriptions
 	if len(parts) == 0 {
@@ -138,7 +134,7 @@ func NewStrategy(sched *sim.Scheduler, u *market.Universe, name string, hostID u
 func (s *Strategy) MDNIC() *netsim.NIC { return s.mdNIC }
 
 // OENIC returns the order-entry NIC.
-func (s *Strategy) OENIC() *netsim.NIC { return s.oeNIC }
+func (s *Strategy) OENIC() *netsim.NIC { return s.nic }
 
 // Session returns the gateway-facing order session (nil before
 // ConnectGateway).
@@ -148,14 +144,8 @@ func (s *Strategy) Session() *orderentry.ClientSession { return s.session }
 // order-entry session over a reliable stream. The gateway must already have
 // accepted at gwAddr.
 func (s *Strategy) ConnectGateway(localPort uint16, gwAddr pkt.UDPAddr) {
-	s.oeMux = netsim.NewStreamMux(s.oeNIC)
-	s.oePort = localPort
-	s.stream = netsim.NewStream(s.oeNIC, localPort, gwAddr)
-	s.oeMux.Register(s.stream)
-	s.session = orderentry.NewClientSession(func(b []byte) { s.stream.Write(b) })
-	s.stream.OnData = func(b []byte) { s.session.Receive(b) }
+	s.dial(localPort, gwAddr)
 	s.session.OnFill = func(uint64, market.Qty, market.Price, bool) { s.Fills++ }
-	s.session.Logon()
 }
 
 // Book returns (creating if needed) the strategy's view of a symbol's book.

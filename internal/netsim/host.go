@@ -89,9 +89,6 @@ func (h *Host) AddNIC(name string, id uint32) *NIC {
 	return n
 }
 
-// NICs returns the host's interfaces.
-func (h *Host) NICs() []*NIC { return h.nics }
-
 // hostHandler adapts Host to the Handler interface without exposing
 // HandleFrame on Host's public API.
 type hostHandler Host

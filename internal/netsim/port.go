@@ -236,9 +236,6 @@ func (p *Port) Connected() bool { return p.peer != nil }
 // QueuedBytes returns the bytes currently waiting in the egress queue.
 func (p *Port) QueuedBytes() int { return p.queuedByte }
 
-// Up reports whether the port's transmit side is up.
-func (p *Port) Up() bool { return !p.down }
-
 // InFlight returns the number of frames committed to the wire and not yet
 // delivered.
 func (p *Port) InFlight() int { return p.flyLen }

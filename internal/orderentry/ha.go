@@ -1,7 +1,5 @@
 package orderentry
 
-import "tradenet/internal/sim"
-
 // Hot-standby support. A shadow exchange applies the primary's replication
 // journal into sessions that have no transport of their own: order flow
 // arrives as journaled operations (driving the same OnNew/OnCancel/OnModify
@@ -39,8 +37,7 @@ func (e *ExchangeSession) NoteSeen(id uint64) { e.seenIDs[id] = true }
 // gone, not misbehaving, so there is no cancel-on-disconnect sweep and no
 // peer-dead escalation from the corpse.
 func (e *ExchangeSession) Quiesce() {
-	e.liveTick.Cancel()
-	e.liveTick = sim.Handle{}
+	e.stopTick()
 	e.muted = true
 }
 

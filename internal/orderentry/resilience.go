@@ -95,73 +95,15 @@ func (c *ClientSession) StartLiveness(sched *sim.Scheduler, cfg LivenessConfig) 
 	if cfg.Interval <= 0 || cfg.MissLimit <= 0 {
 		panic("orderentry: StartLiveness with zero interval or miss limit")
 	}
-	c.sched = sched
-	c.live = cfg
-	c.lastRx = sched.Now()
-	c.startLiveTick()
+	c.armLiveness(sched, cfg)
 }
-
-// startLiveTick schedules the next liveness tick if liveness is configured
-// and no tick is pending.
-func (c *ClientSession) startLiveTick() {
-	if c.live.Interval <= 0 || c.liveTick.Pending() {
-		return
-	}
-	c.liveTick = c.sched.AfterArgs(c.live.Interval, sim.PrioControl, clientLiveTickArgs, c, nil).Handle()
-}
-
-// clientLiveTickArgs adapts the liveness tick to the scheduler's
-// closure-free callback shape.
-func clientLiveTickArgs(a, _ any) { a.(*ClientSession).liveTickFire() }
-
-func (c *ClientSession) liveTickFire() {
-	c.liveTick = sim.Handle{}
-	if c.dead {
-		return
-	}
-	if c.sched.Now().Sub(c.lastRx) > c.live.deadline() {
-		c.declarePeerDead()
-		return
-	}
-	c.Heartbeat()
-	c.startLiveTick()
-}
-
-// declarePeerDead tears the session down: the peer is unreachable. Working
-// orders are retained for post-reconnect reconciliation.
-func (c *ClientSession) declarePeerDead() {
-	if c.dead {
-		return
-	}
-	c.dead = true
-	c.logged = false
-	c.SessionsDropped++
-	c.liveTick.Cancel()
-	c.liveTick = sim.Handle{}
-	if c.OnPeerDead != nil {
-		c.OnPeerDead()
-	}
-}
-
-// Drop tears the session down from the local side — the transport died
-// under it, or the owning process restarted. Equivalent to the liveness
-// deadline firing immediately.
-func (c *ClientSession) Drop() { c.declarePeerDead() }
-
-// Dead reports whether the session has been declared dead (by either the
-// liveness deadline or Drop) and not yet re-logged-on.
-func (c *ClientSession) Dead() bool { return c.dead }
-
-// Rebind points the session at a new transport; orderentry-level state
-// (sequences, working orders) carries over — that is the point of
-// session-level recovery.
-func (c *ClientSession) Rebind(send func([]byte)) { c.send = send }
 
 // Relogon starts a reconnect handshake over the (re-bound) transport: a
 // logon carrying the next inbound sequence the client expects, so the
 // exchange replays everything emitted since. The logon-ack that follows the
 // replay triggers reconciliation: still-unacked orders are resubmitted
-// (idempotently — the exchange suppresses duplicates by client order id).
+// (idempotently — the exchange suppresses duplicates by client order id)
+// and heartbeats re-arm.
 func (c *ClientSession) Relogon() {
 	c.dead = false
 	c.resync = true
@@ -173,8 +115,7 @@ func (c *ClientSession) Relogon() {
 func (c *ClientSession) Logout() {
 	c.emit(&Msg{Kind: KindLogout})
 	c.logged = false
-	c.liveTick.Cancel()
-	c.liveTick = sim.Handle{}
+	c.stopTick()
 }
 
 // EnableRetry arms ack-timeout resubmission: a new order that is not acked
@@ -324,64 +265,9 @@ func (e *ExchangeSession) Harden(sched *sim.Scheduler, cfg ExchangeResilience) {
 	e.tokens = cfg.Bucket.Capacity
 	e.lastRefill = sched.Now()
 	if cfg.Liveness.Interval > 0 {
-		e.live = cfg.Liveness
-		e.lastRx = sched.Now()
-		e.startLiveTick()
+		e.armLiveness(sched, cfg.Liveness)
 	}
 }
-
-func (e *ExchangeSession) startLiveTick() {
-	if e.live.Interval <= 0 || e.liveTick.Pending() {
-		return
-	}
-	e.liveTick = e.sched.AfterArgs(e.live.Interval, sim.PrioControl, exchLiveTickArgs, e, nil).Handle()
-}
-
-// exchLiveTickArgs adapts the liveness tick to the scheduler's closure-free
-// callback shape.
-func exchLiveTickArgs(a, _ any) { a.(*ExchangeSession).liveTickFire() }
-
-func (e *ExchangeSession) liveTickFire() {
-	e.liveTick = sim.Handle{}
-	if e.dead {
-		return
-	}
-	if e.sched.Now().Sub(e.lastRx) > e.live.deadline() {
-		e.declarePeerDead()
-		return
-	}
-	e.emit(&Msg{Kind: KindHeartbeat})
-	e.startLiveTick()
-}
-
-// declarePeerDead marks the client unreachable and fires OnPeerDead — the
-// hook the exchange hangs cancel-on-disconnect from. The session object
-// survives: a reconnecting client resumes it via KindLogonSeq.
-func (e *ExchangeSession) declarePeerDead() {
-	if e.dead {
-		return
-	}
-	e.dead = true
-	e.logged = false
-	e.SessionsDropped++
-	e.liveTick.Cancel()
-	e.liveTick = sim.Handle{}
-	if e.OnPeerDead != nil {
-		e.OnPeerDead()
-	}
-}
-
-// Dead reports whether the peer has been declared dead and has not
-// re-logged-on.
-func (e *ExchangeSession) Dead() bool { return e.dead }
-
-// Drop declares the peer dead from the transport's side — the connection-
-// dead callback feeds here. Equivalent to the liveness deadline firing now.
-func (e *ExchangeSession) Drop() { e.declarePeerDead() }
-
-// Rebind points the session at a new transport (the reconnected client's
-// stream); sequences and retained responses carry over.
-func (e *ExchangeSession) Rebind(send func([]byte)) { e.send = send }
 
 // retain stores an encoded response for reconnect replay, evicting the
 // oldest beyond capacity (the evicted buffer is reused for the next copy,
@@ -419,7 +305,7 @@ func (e *ExchangeSession) relogon(m *Msg) {
 		}
 	}
 	e.emit(&Msg{Kind: KindLogonAck})
-	e.startLiveTick()
+	e.startTick()
 }
 
 // admit charges the ingress token bucket, lazily refilled from elapsed

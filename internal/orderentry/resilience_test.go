@@ -317,3 +317,82 @@ func TestOverfillCounterFlagsDuplicateExecution(t *testing.T) {
 		t.Fatal("overfilled order should be closed")
 	}
 }
+
+// TestPeerDeathOnceAndRelogonRearms drives each end's shared liveness core
+// into peer-death by silence, by Drop, and by silence then Drop: the death
+// is declared exactly once, leaves no tick pending, and a relogon re-arms
+// heartbeats.
+func TestPeerDeathOnceAndRelogonRearms(t *testing.T) {
+	cfg := LivenessConfig{Interval: 100 * sim.Microsecond, MissLimit: 3}
+	const (
+		cutAt   = sim.Time(1 * sim.Millisecond)
+		lateAt  = sim.Time(2500 * sim.Microsecond) // after death by silence
+		probeAt = sim.Time(2900 * sim.Microsecond)
+		healAt  = sim.Time(3 * sim.Millisecond)
+	)
+	for _, side := range []string{"client", "exchange"} {
+		for _, tc := range []struct {
+			name      string
+			cut, drop bool
+		}{
+			{"silence", true, false},
+			{"drop", false, true},
+			{"silence+drop", true, true},
+		} {
+			t.Run(side+"/"+tc.name, func(t *testing.T) {
+				sched := sim.NewScheduler(1)
+				w := &wire{}
+				c, e := resilientPair(w)
+				e.Harden(sched, ExchangeResilience{Liveness: cfg, RetainResponses: 64})
+				c.StartLiveness(sched, cfg)
+				ep := &c.endpoint
+				if side == "exchange" {
+					ep = &e.endpoint
+				}
+				deaths, pending := 0, false
+				ep.OnPeerDead = func() { deaths++ }
+				c.Logon()
+				if tc.cut {
+					sched.At(cutAt, func() { w.cutToExch, w.cutToClient = true, true })
+				}
+				if tc.drop {
+					at := cutAt
+					if tc.cut {
+						at = lateAt
+					}
+					sched.At(at, func() {
+						ep.Drop()
+						pending = ep.liveTick.Pending()
+					})
+				}
+				sched.RunUntil(probeAt)
+				if deaths != 1 || ep.SessionsDropped != 1 || !ep.Dead() || ep.LoggedOn() {
+					t.Fatalf("after death: OnPeerDead fired %d times, dropped=%d dead=%v logged=%v",
+						deaths, ep.SessionsDropped, ep.Dead(), ep.LoggedOn())
+				}
+				if pending || ep.liveTick.Pending() {
+					t.Fatal("liveness tick still pending on a dead session")
+				}
+
+				sched.At(healAt, func() {
+					w.cutToExch, w.cutToClient = false, false
+					c.Relogon()
+				})
+				sched.RunUntil(healAt.Add(sim.Millisecond))
+				seq := ep.seqOut
+				sched.RunUntil(healAt.Add(3 * sim.Millisecond))
+				if !ep.LoggedOn() || ep.Dead() || !ep.liveTick.Pending() {
+					t.Fatalf("after relogon: logged=%v dead=%v tick pending=%v",
+						ep.LoggedOn(), ep.Dead(), ep.liveTick.Pending())
+				}
+				// The session is idle: only heartbeats advance its sequence.
+				if ep.seqOut == seq {
+					t.Fatal("no heartbeats after relogon")
+				}
+				if deaths != 1 || ep.SessionsDropped != 1 {
+					t.Fatalf("relogon re-declared death: fired %d, dropped=%d", deaths, ep.SessionsDropped)
+				}
+			})
+		}
+	}
+}

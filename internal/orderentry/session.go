@@ -29,28 +29,139 @@ type OrderState struct {
 	ackTimer sim.Handle
 }
 
-// ClientSession is the trading-firm side of an order-entry connection. It
-// frames inbound bytes, verifies sequencing, tracks working orders, and
-// encodes outbound requests. Transmission is delegated to send, so the
-// session runs over any byte-stream transport (the simulator's TCP model).
-type ClientSession struct {
+// endpoint is the half of an order-entry session both ends share: the
+// transport binding, outbound encoding and sequencing, inbound framing, the
+// logon flag, and liveness — heartbeat every Interval, declare the peer dead
+// after MissLimit silent intervals (resilience.go arms it). The owner sets
+// beat to emit one heartbeat through its own send path, so an exchange
+// heartbeat stays subject to muting, retention and OnTx.
+type endpoint struct {
 	send    func([]byte)
 	framer  Framer
 	seqOut  uint32
 	seqIn   uint32
 	logged  bool
-	open    map[uint64]*OrderState
 	scratch []byte
+	beat    func()
 
-	// Resilience state (resilience.go); zero-valued when disabled.
+	// Liveness state; zero-valued when disabled.
 	sched    *sim.Scheduler
 	live     LivenessConfig
 	lastRx   sim.Time
 	liveTick sim.Handle
 	dead     bool
-	resync   bool // relogon in flight: reconcile on the next logon-ack
-	retry    RetryConfig
-	ackFree  []*ackWait
+
+	// OnPeerDead fires once when liveness declares the peer unreachable (or
+	// Drop is called). A client owner decides whether to reconnect; the
+	// exchange hangs cancel-on-disconnect from it.
+	OnPeerDead func()
+	// SessionsDropped counts peer-death declarations.
+	SessionsDropped uint64
+}
+
+// encode stamps m with the next outbound sequence and encodes it into the
+// endpoint's scratch buffer, valid until the next encode.
+func (p *endpoint) encode(m *Msg) []byte {
+	p.seqOut++
+	m.Seq = p.seqOut
+	p.scratch = Append(p.scratch[:0], m)
+	return p.scratch
+}
+
+// noteRx records inbound traffic for the liveness deadline.
+func (p *endpoint) noteRx() {
+	if p.sched != nil {
+		p.lastRx = p.sched.Now()
+	}
+}
+
+// LoggedOn reports whether the session is in the logged-on state.
+func (p *endpoint) LoggedOn() bool { return p.logged }
+
+// Dead reports whether the session has been declared dead (by either the
+// liveness deadline or Drop) and not yet re-logged-on.
+func (p *endpoint) Dead() bool { return p.dead }
+
+// Rebind points the session at a new transport; orderentry-level state
+// (sequences, working orders, retained responses) carries over — that is
+// the point of session-level recovery.
+func (p *endpoint) Rebind(send func([]byte)) { p.send = send }
+
+// Drop tears the session down from the local side — the transport died
+// under it, or the owning process restarted. Equivalent to the liveness
+// deadline firing immediately.
+func (p *endpoint) Drop() { p.declarePeerDead() }
+
+// armLiveness starts heartbeats and peer-death detection under cfg, counting
+// silence from now.
+func (p *endpoint) armLiveness(sched *sim.Scheduler, cfg LivenessConfig) {
+	p.sched = sched
+	p.live = cfg
+	p.lastRx = sched.Now()
+	p.startTick()
+}
+
+// startTick schedules the next liveness tick if liveness is configured and
+// no tick is pending.
+func (p *endpoint) startTick() {
+	if p.live.Interval <= 0 || p.liveTick.Pending() {
+		return
+	}
+	p.liveTick = p.sched.AfterArgs(p.live.Interval, sim.PrioControl, liveTickArgs, p, nil).Handle()
+}
+
+// stopTick cancels the pending liveness tick, if any.
+func (p *endpoint) stopTick() {
+	p.liveTick.Cancel()
+	p.liveTick = sim.Handle{}
+}
+
+// liveTickArgs adapts the liveness tick to the scheduler's closure-free
+// callback shape.
+func liveTickArgs(a, _ any) { a.(*endpoint).liveTickFire() }
+
+func (p *endpoint) liveTickFire() {
+	p.liveTick = sim.Handle{}
+	if p.dead {
+		return
+	}
+	if p.sched.Now().Sub(p.lastRx) > p.live.deadline() {
+		p.declarePeerDead()
+		return
+	}
+	p.beat()
+	p.startTick()
+}
+
+// declarePeerDead tears the session down: the peer is unreachable. Timers
+// stop and OnPeerDead fires at this exact virtual instant. The session
+// object survives — a client keeps its working orders for post-reconnect
+// reconciliation, and the exchange resumes the session on KindLogonSeq.
+func (p *endpoint) declarePeerDead() {
+	if p.dead {
+		return
+	}
+	p.dead = true
+	p.logged = false
+	p.SessionsDropped++
+	p.stopTick()
+	if p.OnPeerDead != nil {
+		p.OnPeerDead()
+	}
+}
+
+// ClientSession is the trading-firm side of an order-entry connection. It
+// frames inbound bytes, verifies sequencing, tracks working orders, and
+// encodes outbound requests. Transmission is delegated to send, so the
+// session runs over any byte-stream transport (the simulator's TCP model).
+type ClientSession struct {
+	endpoint
+	open map[uint64]*OrderState
+
+	// Resilience state (resilience.go); zero-valued when disabled.
+	resync  bool // relogon in flight: reconcile on the next logon-ack
+	retry   RetryConfig
+	ackFree []*ackWait
 
 	// Callbacks fire as exchange responses arrive. Nil callbacks are
 	// skipped.
@@ -63,29 +174,24 @@ type ClientSession struct {
 	OnReject       func(orderID uint64, reason RejectReason)
 	OnCancelAck    func(orderID uint64)
 	OnCancelReject func(orderID uint64) // order already gone: cancel lost the race
-	// OnPeerDead fires once when liveness declares the exchange unreachable
-	// (or Drop is called); the owner decides whether to reconnect.
-	OnPeerDead func()
 	// OnOrderUnknown fires when an order's resubmissions are exhausted: its
 	// fate at the exchange cannot be determined from this side.
 	OnOrderUnknown func(orderID uint64)
 
 	// Resilience statistics.
-	Resubmits       uint64 // new-order re-emissions (timeout or reconcile)
-	OrdersUnknown   uint64 // orders escalated through OnOrderUnknown
-	SessionsDropped uint64 // peer-death declarations
-	Overfills       uint64 // fills past an order's submitted quantity — the
+	Resubmits     uint64 // new-order re-emissions (timeout or reconcile)
+	OrdersUnknown uint64 // orders escalated through OnOrderUnknown
+	Overfills     uint64 // fills past an order's submitted quantity — the
 	// duplicate-execution signature (a resubmit executed twice); always 0
 	// when the exchange's idempotent resubmission handling is on
 }
 
 // NewClientSession returns a session that transmits via send.
 func NewClientSession(send func([]byte)) *ClientSession {
-	return &ClientSession{send: send, open: make(map[uint64]*OrderState)}
+	c := &ClientSession{endpoint: endpoint{send: send}, open: make(map[uint64]*OrderState)}
+	c.beat = c.Heartbeat
+	return c
 }
-
-// LoggedOn reports whether the logon handshake completed.
-func (c *ClientSession) LoggedOn() bool { return c.logged }
 
 // Open returns the number of working orders.
 func (c *ClientSession) Open() int { return len(c.open) }
@@ -99,12 +205,7 @@ func (c *ClientSession) Order(id uint64) (OrderState, bool) {
 	return *st, true
 }
 
-func (c *ClientSession) emit(m *Msg) {
-	c.seqOut++
-	m.Seq = c.seqOut
-	c.scratch = Append(c.scratch[:0], m)
-	c.send(c.scratch)
-}
+func (c *ClientSession) emit(m *Msg) { c.send(c.encode(m)) }
 
 // Logon starts the session handshake.
 func (c *ClientSession) Logon() { c.emit(&Msg{Kind: KindLogon}) }
@@ -154,9 +255,7 @@ func (c *ClientSession) Heartbeat() { c.emit(&Msg{Kind: KindHeartbeat}) }
 
 // Receive ingests stream bytes from the exchange.
 func (c *ClientSession) Receive(data []byte) error {
-	if c.sched != nil {
-		c.lastRx = c.sched.Now()
-	}
+	c.noteRx()
 	var seqErr error
 	err := c.framer.Feed(data, func(m *Msg) {
 		if m.Kind == KindLogout {
@@ -187,7 +286,7 @@ func (c *ClientSession) handle(m *Msg) {
 			c.resync = false
 			c.reconcile()
 		}
-		c.startLiveTick()
+		c.startTick()
 		if c.OnLogon != nil {
 			c.OnLogon()
 		}
@@ -197,8 +296,7 @@ func (c *ClientSession) handle(m *Msg) {
 		// scratch if it wants back in.
 		c.logged = false
 		c.resync = false
-		c.liveTick.Cancel()
-		c.liveTick = sim.Handle{}
+		c.stopTick()
 	case KindOrderAck, KindModifyAck:
 		if st, ok := c.open[m.OrderID]; ok {
 			st.Acked = true
@@ -260,20 +358,10 @@ func (c *ClientSession) handle(m *Msg) {
 // and hands accepted operations to the matching engine via callbacks. The
 // engine responds through Ack/Reject/Fill and friends.
 type ExchangeSession struct {
-	send    func([]byte)
-	framer  Framer
-	seqOut  uint32
-	seqIn   uint32
-	logged  bool
+	endpoint
 	seenIDs map[uint64]bool
-	scratch []byte
 
 	// Resilience state (resilience.go); zero-valued when disabled.
-	sched       *sim.Scheduler
-	live        LivenessConfig
-	lastRx      sim.Time
-	liveTick    sim.Handle
-	dead        bool
 	retainCap   int
 	retainBuf   [][]byte
 	retainSeqs  []uint32
@@ -302,44 +390,37 @@ type ExchangeSession struct {
 	OnNew    func(*Msg)
 	OnCancel func(*Msg)
 	OnModify func(*Msg)
-	// OnPeerDead fires once when liveness declares the client unreachable —
-	// the exchange hangs cancel-on-disconnect from it.
-	OnPeerDead func()
 	// OnLogout fires on a graceful client logout; venues mass-cancel here
 	// too, but the session is not dead.
 	OnLogout func()
 
 	// Resilience statistics.
-	BusyRejects     uint64 // requests shed by the ingress token bucket
-	DupSuppressed   uint64 // duplicate client ids absorbed idempotently
-	ReplayedMsgs    uint64 // retained responses replayed on reconnect
-	ResyncRefused   uint64 // relogons outside the retain window
-	SessionsDropped uint64 // peer-death declarations
+	BusyRejects   uint64 // requests shed by the ingress token bucket
+	DupSuppressed uint64 // duplicate client ids absorbed idempotently
+	ReplayedMsgs  uint64 // retained responses replayed on reconnect
+	ResyncRefused uint64 // relogons outside the retain window
 }
 
 // NewExchangeSession returns an exchange-side session transmitting via send.
 func NewExchangeSession(send func([]byte)) *ExchangeSession {
-	return &ExchangeSession{send: send, seenIDs: make(map[uint64]bool)}
+	e := &ExchangeSession{endpoint: endpoint{send: send}, seenIDs: make(map[uint64]bool)}
+	e.beat = func() { e.emit(&Msg{Kind: KindHeartbeat}) }
+	return e
 }
 
 func (e *ExchangeSession) emit(m *Msg) {
 	if e.muted {
 		return
 	}
-	e.seqOut++
-	m.Seq = e.seqOut
-	e.scratch = Append(e.scratch[:0], m)
+	b := e.encode(m)
 	if e.retainCap > 0 {
-		e.retain(m.Seq, e.scratch)
+		e.retain(m.Seq, b)
 	}
 	if e.OnTx != nil {
-		e.OnTx(m.Seq, e.scratch)
+		e.OnTx(m.Seq, b)
 	}
-	e.send(e.scratch)
+	e.send(b)
 }
-
-// LoggedOn reports whether the session is in the logged-on state.
-func (e *ExchangeSession) LoggedOn() bool { return e.logged }
 
 // Ack acknowledges a new order, echoing the exchange's own order id (zero
 // when the venue does not expose one).
@@ -377,9 +458,7 @@ func (e *ExchangeSession) CancelReject(orderID uint64) {
 
 // Receive ingests stream bytes from the client.
 func (e *ExchangeSession) Receive(data []byte) error {
-	if e.sched != nil {
-		e.lastRx = e.sched.Now()
-	}
+	e.noteRx()
 	var seqErr error
 	err := e.framer.Feed(data, func(m *Msg) {
 		if m.Kind == KindLogonSeq {
@@ -413,8 +492,7 @@ func (e *ExchangeSession) handle(m *Msg) {
 		// Keepalive only.
 	case KindLogout:
 		e.logged = false
-		e.liveTick.Cancel()
-		e.liveTick = sim.Handle{}
+		e.stopTick()
 		if e.OnLogout != nil {
 			e.OnLogout()
 		}

@@ -154,9 +154,6 @@ type Ctx struct {
 // Start returns the instant the trace began (the publish instant).
 func (c *Ctx) Start() sim.Time { return c.start }
 
-// EndAt returns the instant the trace finished (its cursor at Finish time).
-func (c *Ctx) EndAt() sim.Time { return c.cursor }
-
 // Terminal returns the trace's end kind (EndNone while in flight).
 func (c *Ctx) Terminal() End { return c.end }
 

@@ -46,9 +46,6 @@ func NewCorrelatedFeeds(baseRates []float64, burstFactor float64, quietDwell, bu
 	}
 }
 
-// InBurst reports the shared condition's current state.
-func (c *CorrelatedFeeds) InBurst() bool { return c.inBurst }
-
 // Generate schedules arrivals for every feed on sched from start to end;
 // fn receives the feed index at each arrival. All feeds burst together.
 func (c *CorrelatedFeeds) Generate(sched *sim.Scheduler, start, end sim.Time, fn func(feed int)) {
