@@ -200,8 +200,8 @@ func ehaScript(u *market.Universe, nClients int, start, crashAt sim.Time) []ehaO
 func ehaBookDigest(ex *exchange.Exchange, u *market.Universe) string {
 	var b strings.Builder
 	for _, ins := range u.All() {
-		bk := ex.Book(ins.ID)
-		if bk.Orders() == 0 {
+		bk, ok := ex.LookupBook(ins.ID)
+		if !ok || bk.Orders() == 0 {
 			continue
 		}
 		for _, side := range []market.Side{market.Buy, market.Sell} {
@@ -253,7 +253,9 @@ func runEHAPlant(p *Plant, failover bool, res *EHADesignRun) string {
 		sched.AtPrio(crashAt, sim.PrioReport, func() {
 			appliedAtCrash = ha.Follower.Applied
 			for _, ins := range p.U.All() {
-				res.RestingAtCrash += pri.Book(ins.ID).Orders()
+				if bk, ok := pri.LookupBook(ins.ID); ok {
+					res.RestingAtCrash += bk.Orders()
+				}
 			}
 		})
 		prevPromote := ha.OnPromote

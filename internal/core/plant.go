@@ -200,7 +200,9 @@ type sessionTally struct {
 func (p *Plant) reconcile(ex *exchange.Exchange) sessionTally {
 	var t sessionTally
 	for _, ins := range p.U.All() {
-		t.orphans += ex.Book(ins.ID).Orders()
+		if bk, ok := ex.LookupBook(ins.ID); ok {
+			t.orphans += bk.Orders()
+		}
 	}
 	for i, cs := range p.clients() {
 		es := ex.SessionAt(i)

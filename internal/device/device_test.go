@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"testing"
 
 	"tradenet/internal/netsim"
@@ -106,7 +107,9 @@ func TestCommoditySwitchMulticastFanout(t *testing.T) {
 			t.Fatalf("sink %d got %d frames", i, len(s.frames))
 		}
 	}
-	// Replicas are deep copies: mutating one does not corrupt others.
+	// Replicas of a hand-built frame are deep copies: mutating one does not
+	// corrupt others. (Replicas of a pooled frame share its payload; see
+	// TestFanOutSharesOnePayload.)
 	sinks[0].frames[0].Data[20] = 0xFF
 	if sinks[1].frames[0].Data[20] == 0xFF {
 		t.Fatal("multicast replicas share storage")
@@ -480,4 +483,60 @@ func TestDeviceAccessors(t *testing.T) {
 	if fl.Config().Latency != 100*sim.Nanosecond {
 		t.Fatal("filtering l1s accessors")
 	}
+}
+
+func TestFanOutSharesOnePayload(t *testing.T) {
+	const legs = 4
+	sched := sim.NewScheduler(1)
+	sw := NewCommoditySwitch(sched, "sw", legs+1, DefaultCommodityConfig())
+	tx := netsim.NewPort(sched, nil, "tx")
+	netsim.Connect(tx, sw.Port(0), units.Rate10G, 0)
+	grp := pkt.MulticastGroup(1, 5)
+	var sinks []*sinkPort
+	for i := 1; i <= legs; i++ {
+		s := newSink(sched, "rx")
+		netsim.Connect(sw.Port(i), s.port, units.Rate10G, 0)
+		sw.JoinGroup(grp, i)
+		sinks = append(sinks, s)
+	}
+	want := udpFrame(pkt.UDPAddr{MAC: pkt.MulticastMAC(grp), IP: grp, Port: 9}, 200).Data
+	sched.At(0, func() { tx.Send(netsim.NewFrameBytes(want)) })
+	sched.Run()
+
+	var got []*netsim.Frame
+	for i, s := range sinks {
+		if len(s.frames) != 1 {
+			t.Fatalf("sink %d got %d frames", i, len(s.frames))
+		}
+		got = append(got, s.frames[0])
+	}
+	for i, f := range got {
+		for _, g := range got[:i] {
+			if f == g {
+				t.Fatal("two legs carry the same descriptor")
+			}
+		}
+		if &f.Data[0] != &got[0].Data[0] {
+			t.Fatalf("leg %d does not view the shared payload", i)
+		}
+	}
+	// Every leg but one terminates, releasing unconditionally (twice); the
+	// pools then hand out and overwrite new frames. The surviving leg's
+	// bytes must not change.
+	for _, f := range got[1:] {
+		f.Release()
+		f.Release()
+	}
+	var churn []*netsim.Frame
+	for i := 0; i < 2*legs; i++ {
+		c := netsim.NewFrameBytes(make([]byte, len(want)))
+		churn = append(churn, c)
+	}
+	if !bytes.Equal(got[0].Data, want) {
+		t.Fatal("surviving leg's bytes changed after its siblings were released")
+	}
+	for _, c := range churn {
+		c.Release()
+	}
+	got[0].Release()
 }

@@ -222,7 +222,8 @@ func (e *Exchange) OENIC() *netsim.NIC { return e.oeNIC }
 // PartitionMap returns the feed partition→group mapping.
 func (e *Exchange) PartitionMap() *mcast.Map { return e.partMap }
 
-// Book returns (creating if needed) the book for a symbol.
+// Book returns (creating if needed) the book for a symbol. It is the
+// matching paths' accessor; read-only probes use LookupBook.
 func (e *Exchange) Book(id market.SymbolID) *market.Book {
 	b, ok := e.books[id]
 	if !ok {
@@ -232,8 +233,21 @@ func (e *Exchange) Book(id market.SymbolID) *market.Book {
 	return b
 }
 
-// BBO returns the exchange's current best bid/offer for a symbol.
-func (e *Exchange) BBO(id market.SymbolID) market.BBO { return e.Book(id).BBO() }
+// LookupBook returns the book for a symbol and whether the venue has one.
+// Unlike Book it never creates one, so probing leaves the venue unchanged.
+func (e *Exchange) LookupBook(id market.SymbolID) (*market.Book, bool) {
+	b, ok := e.books[id]
+	return b, ok
+}
+
+// BBO returns the exchange's current best bid/offer for a symbol: the zero
+// BBO for a symbol that has never had a book.
+func (e *Exchange) BBO(id market.SymbolID) market.BBO {
+	if b, ok := e.LookupBook(id); ok {
+		return b.BBO()
+	}
+	return market.BBO{}
+}
 
 // AcceptSession provisions an exchange-side order-entry session reachable at
 // the returned TCP port. The matching engine responds after MatchLatency.

@@ -361,3 +361,23 @@ func TestExchangeGapRecovery(t *testing.T) {
 		t.Fatalf("recovered %d of %d lost messages", len(recovered), lost)
 	}
 }
+
+func TestReadOnlyBookProbesCreateNoBook(t *testing.T) {
+	f := newFixture(t)
+	aapl, _ := f.u.Lookup("AAPL")
+	before := len(f.ex.books)
+	if _, ok := f.ex.LookupBook(aapl); ok {
+		t.Fatal("LookupBook found a book for a symbol never traded")
+	}
+	if bbo := f.ex.BBO(aapl); bbo != (market.BBO{}) {
+		t.Fatalf("BBO of an unknown symbol = %+v, want zero", bbo)
+	}
+	if got := len(f.ex.books); got != before {
+		t.Fatalf("read-only probes changed the book set: %d books, want %d", got, before)
+	}
+	// The matching paths' accessor still creates on first use.
+	b := f.ex.Book(aapl)
+	if got, ok := f.ex.LookupBook(aapl); !ok || got != b {
+		t.Fatal("LookupBook does not see the book Book created")
+	}
+}

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"slices"
+
 	"tradenet/internal/pkt"
 	"tradenet/internal/sim"
 )
@@ -14,8 +16,11 @@ type NIC struct {
 	MAC  pkt.MAC
 	IP   pkt.IP4
 
-	host   *Host
-	groups map[pkt.MAC]bool
+	host *Host
+	// groups holds the joined group MACs as macKeys, in join order. A host
+	// joins a handful of groups, so scanning packed integers beats hashing
+	// a 6-byte array key.
+	groups []uint64
 
 	// Promiscuous disables destination filtering (tap/capture NICs).
 	Promiscuous bool
@@ -32,14 +37,17 @@ type NIC struct {
 
 // Join subscribes the NIC to an IP multicast group (IGMP join in spirit).
 func (n *NIC) Join(group pkt.IP4) {
-	if n.groups == nil {
-		n.groups = make(map[pkt.MAC]bool)
+	if k := macKey(pkt.MulticastMAC(group)); !slices.Contains(n.groups, k) {
+		n.groups = append(n.groups, k)
 	}
-	n.groups[pkt.MulticastMAC(group)] = true
 }
 
 // Leave unsubscribes the NIC from a group.
-func (n *NIC) Leave(group pkt.IP4) { delete(n.groups, pkt.MulticastMAC(group)) }
+func (n *NIC) Leave(group pkt.IP4) {
+	if i := slices.Index(n.groups, macKey(pkt.MulticastMAC(group))); i >= 0 {
+		n.groups = slices.Delete(n.groups, i, i+1)
+	}
+}
 
 // Subscriptions returns the number of joined groups.
 func (n *NIC) Subscriptions() int { return len(n.groups) }
@@ -55,9 +63,15 @@ func (n *NIC) accepts(dst pkt.MAC) bool {
 		return true
 	}
 	if dst.IsMulticast() {
-		return n.groups[dst]
+		return slices.Contains(n.groups, macKey(dst))
 	}
 	return false
+}
+
+// macKey packs a MAC into one integer for group matching.
+func macKey(m pkt.MAC) uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
 }
 
 // Host is a server with one or more NICs. Frame dispatch to the application

@@ -153,11 +153,25 @@ func TestSendOnUnconnectedPortPanics(t *testing.T) {
 }
 
 func TestFrameClone(t *testing.T) {
+	// A hand-built frame has no pooled payload to share, so its clone is a
+	// deep copy into a fresh payload.
 	f := &Frame{Data: []byte{1, 2, 3}, Origin: 5, ID: 9}
 	c := f.Clone()
 	c.Data[0] = 99
 	if f.Data[0] != 1 || c.Origin != 5 || c.ID != 9 {
 		t.Fatal("clone not deep")
+	}
+	p := c.buf
+	if p == nil || p.refs != 1 {
+		t.Fatal("clone of a hand-built frame has no fresh pooled payload")
+	}
+	// Releasing the hand-built source is a no-op; the clone's double
+	// release drops its one ref once.
+	f.Release()
+	c.Release()
+	c.Release()
+	if p.refs != 0 {
+		t.Fatalf("refs after releasing the clone = %d, want 0", p.refs)
 	}
 }
 
@@ -193,11 +207,13 @@ func TestHostNICFiltering(t *testing.T) {
 	if nic.Filtered != 2 {
 		t.Fatalf("filtered = %d, want 2", nic.Filtered)
 	}
+	nic.Join(grp) // joining twice is one subscription
 	if nic.Subscriptions() != 1 {
 		t.Fatalf("subs = %d", nic.Subscriptions())
 	}
+	nic.Leave(other) // leaving an unjoined group is a no-op
 	nic.Leave(grp)
-	if nic.Subscriptions() != 0 {
+	if nic.Subscriptions() != 0 || nic.accepts(pkt.MulticastMAC(grp)) {
 		t.Fatal("leave failed")
 	}
 }

@@ -19,10 +19,15 @@ import (
 // 8 bytes of preamble/SFD plus a 12-byte minimum inter-frame gap.
 const FrameOverheadBytes = 20
 
-// Frame is a frame in flight. Data is the on-wire bytes excluding FCS;
-// Origin is the instant the originating application handed it to its NIC,
-// carried along so receivers can measure one-way latency the way the
-// paper's timestamping discussion describes (order-out minus md-in).
+// Frame is one copy of a frame in flight: a per-copy descriptor over a
+// payload that the copy may share with others. Data is the on-wire bytes
+// excluding FCS; Origin is the instant the originating application handed
+// it to its NIC, carried along so receivers can measure one-way latency the
+// way the paper's timestamping discussion describes (order-out minus md-in).
+//
+// Data is immutable once the frame is first sent. Builders append the wire
+// bytes before Send; after that every clone may be viewing the same bytes,
+// so no handler, device or application writes into a frame it received.
 type Frame struct {
 	Data   []byte
 	Origin sim.Time
@@ -34,17 +39,27 @@ type Frame struct {
 	// finishes or hands off the trace; Release closes leftovers.
 	Trace *trace.Ctx
 
-	pooled   bool // came from framePool; Release returns it
-	released bool // double-release guard
+	buf      *frameBuf // shared payload Data views; nil for hand-built frames
+	released bool      // double-release guard
 }
 
-// Clone returns a deep copy of the frame from the pool. Replication points
-// (multicast fan-out) clone so downstream queues own their bytes. A traced
-// frame's clone carries a fork of the trace (nil once the recorder is at
-// capacity — replication is where trace counts could otherwise explode).
+// Clone returns another copy of the frame for a replication point
+// (multicast fan-out). The copy shares f's payload: it takes one more
+// reference on it and views the same bytes, so cloning copies no data.
+// Cloning a hand-built frame, which has no pooled payload, deep-copies its
+// bytes into a fresh one. A traced frame's clone carries a fork of the
+// trace (nil once the recorder is at capacity — replication is where trace
+// counts could otherwise explode).
 func (f *Frame) Clone() *Frame {
-	c := NewFrame()
-	c.Data = append(c.Data, f.Data...)
+	var c *Frame
+	if p := f.buf; p != nil {
+		p.refs++
+		c = newDescriptor(p)
+		c.Data = f.Data
+	} else {
+		c = NewFrame()
+		c.Data = append(c.Data, f.Data...)
+	}
 	c.Origin = f.Origin
 	c.ID = f.ID
 	if f.Trace != nil {
